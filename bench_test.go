@@ -1,5 +1,5 @@
-// Benchmarks regenerating the paper's evaluation artifacts (see DESIGN.md
-// experiment index):
+// Benchmarks regenerating the paper's evaluation artifacts, labeled by
+// experiment (E1 Table I, E2 Fig. 6, E3 Fig. 7, E4-E5 ablations):
 //
 //	BenchmarkTable1Extract/*   — Table I extraction runtime column (E1)
 //	BenchmarkFig6Criticality   — Fig. 6 criticality engine on c7552 (E2)

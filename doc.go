@@ -59,12 +59,14 @@
 //     repeated analyses of one design — across modes, corners or batch
 //     items — pay the eigendecomposition once.
 //   - ssta.AnalyzeBatch fans flat and hierarchical analyses out across a
-//     bounded pool with those caches shared, which is the one scheduling
-//     path used by cmd/ssta, cmd/report, cmd/table1, examples/corners and
-//     the sstad serving layer. AnalyzeBatchCtx threads a context through
-//     the whole stack — batch items, hierarchical stitching, and the
-//     per-vertex propagation loops — so cancellation and deadlines are
-//     honored mid-analysis.
+//     bounded pool with those caches shared, which is the scheduling path
+//     of cmd/ssta, cmd/report, cmd/table1 and examples/corners.
+//     AnalyzeBatchCtx threads a context through the whole stack — batch
+//     items, hierarchical stitching, and the per-vertex propagation
+//     loops — so cancellation and deadlines are honored mid-analysis. The
+//     sstad serving layer instead answers every request as the identity
+//     (or named) scenarios of a shared-prep sweep (ssta.SweepAnalyze),
+//     which matches AnalyzeBatch at 1e-9.
 //
 // Parallel and cached runs produce results identical (within 1e-9, in
 // practice bitwise) to the serial engine; see internal/hier's equivalence
@@ -72,7 +74,7 @@
 //
 // # Serving (sstad)
 //
-// cmd/sstad wraps the batch engine in a daemon (internal/server): POST
+// cmd/sstad wraps the sweep engine in a daemon (internal/server): POST
 // /v1/analyze runs a batch synchronously under a per-request deadline,
 // POST /v1/jobs queues it on a bounded async job queue (poll/cancel via
 // GET/DELETE /v1/jobs/{id}), and /healthz and /metrics expose liveness,

@@ -1,6 +1,6 @@
 // Package cell provides the synthetic standard-cell library that stands in
-// for the proprietary 90nm industrial library of the paper's Section VI
-// (see DESIGN.md, substitutions). Cell delays are linear in the process
+// for the proprietary 90nm industrial library of the paper's Section VI,
+// which is not available. Cell delays are linear in the process
 // parameters — exactly the modeling assumption of the paper — with
 // per-gate-type base delays, per-pin skew, a fanout load slope, and
 // per-parameter relative sensitivities.

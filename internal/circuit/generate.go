@@ -69,7 +69,9 @@ func (s TopoSpec) Validate() error {
 // structural footprint matches the spec exactly: PI/PO counts, gate count,
 // total fanin-connection count (Eo), and logic depth. It is used as a
 // topology-matched stand-in for the ISCAS85 netlists, which are not
-// redistributed with this repository (see DESIGN.md, substitutions).
+// redistributed with this repository: every benchmark name the tools
+// accept is generated from its spec this way, and only c17 ships as a real
+// netlist.
 //
 // The construction is leveled, so the result is acyclic by construction:
 // every gate takes its first fanin from the previous level (fixing its

@@ -23,8 +23,10 @@ type Options struct {
 	Workers int
 	// DisablePathProtection turns off the dominant-path guard. The paper's
 	// bare algorithm can in principle disconnect an IO pair; the guard keeps
-	// per-pair dominant paths regardless of their edge criticalities (see
-	// DESIGN.md). Exposed for ablation.
+	// each pair's dominant path — the max-nominal fanin chain from the
+	// output back to the input — regardless of its edge criticalities, so
+	// every connected IO pair stays connected in the model. Exposed for
+	// ablation.
 	DisablePathProtection bool
 	// MaxMergeIters bounds the merge fixpoint loop (0: unbounded).
 	MaxMergeIters int

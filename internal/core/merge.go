@@ -132,11 +132,20 @@ func (m *modelGraph) parallelMerge() bool {
 		if !m.vAlive[v] || len(m.outE[v]) < 2 {
 			continue
 		}
+		// Bundles merge in first-fanout order, not map order: Clark max is
+		// not associative, so the order of merges and of the edges they add
+		// decides the model's last bits, and extraction must be repeatable.
 		groups := make(map[int][]int) // sink -> edge ids
+		var sinks []int
 		for _, ei := range m.outE[v] {
-			groups[m.edges[ei].to] = append(groups[m.edges[ei].to], ei)
+			to := m.edges[ei].to
+			if groups[to] == nil {
+				sinks = append(sinks, to)
+			}
+			groups[to] = append(groups[to], ei)
 		}
-		for to, eids := range groups {
+		for _, to := range sinks {
+			eids := groups[to]
 			if len(eids) < 2 {
 				continue
 			}

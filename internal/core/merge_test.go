@@ -253,3 +253,30 @@ func TestPortsNeverMerged(t *testing.T) {
 		t.Fatal("port names lost")
 	}
 }
+
+// TestExtractRepeatable: extracting the same graph twice gives the same
+// model to the last bit. Clark max is not associative, so this holds only
+// while every merge runs in an order fixed by the graph itself.
+func TestExtractRepeatable(t *testing.T) {
+	g := buildGraph(t, "c1355", 1)
+	var ref *Model
+	for run := 0; run < 8; run++ {
+		m, err := Extract(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = m
+			continue
+		}
+		if len(m.Graph.Edges) != len(ref.Graph.Edges) {
+			t.Fatalf("run %d: %d model edges, first run %d", run, len(m.Graph.Edges), len(ref.Graph.Edges))
+		}
+		for i := range m.Graph.Edges {
+			a, b := &m.Graph.Edges[i], &ref.Graph.Edges[i]
+			if a.From != b.From || a.To != b.To || a.Delay.Mean() != b.Delay.Mean() || a.Delay.Std() != b.Delay.Std() {
+				t.Fatalf("run %d: model edge %d differs from the first run", run, i)
+			}
+		}
+	}
+}

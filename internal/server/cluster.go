@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -372,44 +373,28 @@ func pingHandler(context.Context, *cluster.Request) ([]byte, error) { return nil
 // ---------------------------------------------------------------------------
 // Coordinator: distributed sweep dispatch
 
-// runSweep executes a prepared sweep: locally when standalone (or when no
+// runSweep evaluates an execution's scenarios (scens, with their wire
+// specs) against the resolved subject: locally when standalone (or when no
 // worker is healthy), otherwise sharded across the pool.
-func (s *Server) runSweep(ctx context.Context, pr *sweepPrep, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
+func (s *Server) runSweep(ctx context.Context, sub *subject, specs []SweepScenarioSpec, scens []ssta.Scenario, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
 	cl := s.cluster
 	if cl == nil {
-		return pr.run(ctx, opt)
+		return sub.sweep(ctx, scens, opt)
 	}
 	healthy := cl.pool.Healthy()
 	if len(healthy) == 0 {
 		cl.localFallbacks.Add(1)
-		return pr.run(ctx, opt)
+		return sub.sweep(ctx, scens, opt)
 	}
-	return s.runSweepDistributed(ctx, cl, healthy, pr, opt)
+	return s.runSweepDistributed(ctx, cl, healthy, sub, specs, scens, opt)
 }
 
-func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, healthy []*cluster.Node, pr *sweepPrep, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
+// runSweepDistributed shards the scenarios across the healthy workers.
+// Every scenario carries its name (the executor names them), so a
+// worker's shard-local defaults never rename one.
+func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, healthy []*cluster.Node, sub *subject, specs []SweepScenarioSpec, scens []ssta.Scenario, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
 	start := time.Now()
-	n := len(pr.specs)
-	if n == 0 || n != len(pr.scens) {
-		// A prep without wire specs (shouldn't happen) cannot be sharded.
-		cl.localFallbacks.Add(1)
-		return pr.run(ctx, opt)
-	}
-
-	// Independent copies with globally assigned default names: a worker's
-	// Normalize fills names by shard-local index, so unnamed scenarios must
-	// be named here with their global index to match standalone output.
-	specs := make([]SweepScenarioSpec, n)
-	copy(specs, pr.specs)
-	scens := make([]ssta.Scenario, n)
-	copy(scens, pr.scens)
-	for i := range specs {
-		if specs[i].Name == "" {
-			name := fmt.Sprintf("scenario-%d", i)
-			specs[i].Name = name
-			scens[i].Name = name
-		}
-	}
+	n := len(scens)
 
 	var timeoutMS int64
 	if dl, ok := ctx.Deadline(); ok {
@@ -448,7 +433,7 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 	}
 	// Subject graph size, reassembled from whichever shard (or local
 	// fallback) reports it first — the scalar stand-in for the worker-side
-	// top graph, which never crosses the wire (PR 9 Top-loss fix).
+	// top graph, which never crosses the wire.
 	var topVerts, topEdges int
 	noteTop := func(verts, edges int) {
 		if verts <= 0 {
@@ -461,11 +446,14 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 		mu.Unlock()
 	}
 
-	// Contiguous shards over the healthy nodes, one goroutine per shard.
-	nw := len(healthy)
-	if nw > n {
-		nw = n
-	}
+	// Contiguous shards over the healthy nodes, one goroutine per shard,
+	// starting at the subject's ring node: an execution smaller than the
+	// pool (a lone analyze item, a short sweep) lands by subject — spreading
+	// load and reusing that worker's caches — instead of always on the
+	// first configured node.
+	fp := ItemFingerprint(&sub.spec)
+	first := max(slices.Index(healthy, cl.pool.Pick(fp[:])), 0)
+	nw := min(len(healthy), n)
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
 		lo, hi := k*n/nw, (k+1)*n/nw
@@ -476,8 +464,8 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 		wg.Add(1)
 		go func(node *cluster.Node, idx []int) {
 			defer wg.Done()
-			s.dispatchShard(ctx, cl, node, pr, specs, idx, timeoutMS, opt, record, remaining, noteTop)
-		}(healthy[k], idx)
+			s.dispatchShard(ctx, cl, node, sub, specs, scens, idx, timeoutMS, opt, record, remaining, noteTop)
+		}(healthy[(first+k)%len(healthy)], idx)
 	}
 	wg.Wait()
 
@@ -499,12 +487,12 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 
 	rep := scenario.NewReport(results, scenario.Options{TopK: opt.TopK, Quantile: opt.Quantile})
 	rep.Elapsed = time.Since(start)
-	if !pr.isQuad {
+	if sub.design == nil {
 		// The shared flat graph is local; report its size as standalone
 		// would. A distributed design sweep has no local stitched top — its
 		// scalar stats come back in the shard responses instead.
-		rep.Top = pr.item.Graph
-		rep.TopVerts, rep.TopEdges = pr.item.Graph.NumVerts, len(pr.item.Graph.Edges)
+		rep.Top = sub.graph
+		rep.TopVerts, rep.TopEdges = sub.graph.NumVerts, len(sub.graph.Edges)
 	} else {
 		mu.Lock()
 		rep.TopVerts, rep.TopEdges = topVerts, topEdges
@@ -517,7 +505,7 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 // retry with jittered backoff, re-home to a survivor, and finally execute
 // the remainder locally. Every path records results through record, so the
 // per-scenario hook fires exactly once per scenario.
-func (s *Server) dispatchShard(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep, specs []SweepScenarioSpec, idx []int, timeoutMS int64, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), remaining func([]int) []int, noteTop func(int, int)) {
+func (s *Server) dispatchShard(ctx context.Context, cl *clusterState, node *cluster.Node, sub *subject, specs []SweepScenarioSpec, scens []ssta.Scenario, idx []int, timeoutMS int64, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), remaining func([]int) []int, noteTop func(int, int)) {
 	bo := store.Backoff{Base: 25 * time.Millisecond, Cap: 250 * time.Millisecond, MaxAttempts: 3, Jitter: 0.5}
 	attempt := 0
 	err := bo.Retry(ctx, func() error {
@@ -535,7 +523,7 @@ func (s *Server) dispatchShard(ctx context.Context, cl *clusterState, node *clus
 		if len(left) == 0 {
 			return nil
 		}
-		return s.callShard(ctx, cl, node, pr, specs, left, timeoutMS, opt.OnScenarioDone != nil, record, noteTop)
+		return s.callShard(ctx, cl, node, sub, specs, left, timeoutMS, opt, record, noteTop)
 	})
 	if err == nil {
 		return
@@ -546,7 +534,7 @@ func (s *Server) dispatchShard(ctx context.Context, cl *clusterState, node *clus
 	}
 	cl.failovers.Add(1)
 	cl.localFallbacks.Add(1)
-	s.runShardLocal(ctx, pr, left, opt, record, noteTop)
+	s.runShardLocal(ctx, sub, scens, left, opt, record, noteTop)
 }
 
 // pickOther returns a healthy node other than cur, if any.
@@ -563,18 +551,18 @@ func pickOther(pool *cluster.Pool, cur *cluster.Node) *cluster.Node {
 // per-scenario events as they arrive and the final response as backstop. A
 // node that goes unhealthy mid-dispatch (crash, hang) aborts the call so
 // the shard can re-home instead of waiting out the request deadline.
-func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep, specs []SweepScenarioSpec, idx []int, timeoutMS int64, stream bool, record func(int, ssta.ScenarioResult), noteTop func(int, int)) error {
-	sub := make([]SweepScenarioSpec, len(idx))
+func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.Node, sub *subject, specs []SweepScenarioSpec, idx []int, timeoutMS int64, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), noteTop func(int, int)) error {
+	shard := make([]SweepScenarioSpec, len(idx))
 	for k, i := range idx {
-		sub[k] = specs[i]
+		shard[k] = specs[i]
 	}
 	req := shardRequest{
-		Item:      pr.spec,
-		Scenarios: sub,
+		Item:      sub.spec,
+		Scenarios: shard,
 		Indices:   idx,
-		Workers:   pr.workers,
+		Workers:   opt.Workers,
 		TimeoutMS: timeoutMS,
-		Stream:    stream,
+		Stream:    opt.OnScenarioDone != nil,
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
@@ -628,13 +616,10 @@ func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.
 
 // runShardLocal executes the remaining scenario subset on the coordinator,
 // remapping the per-scenario hook back to global indices.
-func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), noteTop func(int, int)) {
-	sub := make([]ssta.Scenario, len(idx))
+func (s *Server) runShardLocal(ctx context.Context, sub *subject, scens []ssta.Scenario, idx []int, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), noteTop func(int, int)) {
+	part := make([]ssta.Scenario, len(idx))
 	for k, i := range idx {
-		sub[k] = pr.scens[i]
-		if sub[k].Name == "" {
-			sub[k].Name = fmt.Sprintf("scenario-%d", i)
-		}
+		part[k] = scens[i]
 	}
 	lopt := opt
 	lopt.OnScenarioDone = func(k int, r *ssta.ScenarioResult) {
@@ -642,13 +627,7 @@ func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, op
 			record(idx[k], *r)
 		}
 	}
-	var rep *ssta.SweepReport
-	if pr.isQuad {
-		rep, _ = ssta.SweepAnalyze(ctx, pr.item.Design, pr.mode, sub, lopt)
-	} else {
-		rep, _ = ssta.SweepAnalyzeGraph(ctx, pr.item.Graph, sub, lopt)
-	}
-	if rep != nil {
+	if rep, _ := sub.sweep(ctx, part, lopt); rep != nil {
 		noteTop(rep.TopVerts, rep.TopEdges)
 	}
 }
@@ -656,6 +635,9 @@ func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, op
 // ---------------------------------------------------------------------------
 // Worker: shard execution
 
+// handleShardRPC runs a coordinator's shard as one execution with one
+// sweep seat. Like a job, it owns its turn and waits for a slot on its
+// own context.
 func (s *Server) handleShardRPC(ctx context.Context, req *cluster.Request) ([]byte, error) {
 	var sr shardRequest
 	if err := json.Unmarshal(req.Body, &sr); err != nil {
@@ -674,54 +656,27 @@ func (s *Server) handleShardRPC(ctx context.Context, req *cluster.Request) ([]by
 		defer cancel()
 	}
 	ctx = withPeer(ctx, req.Conn)
-	if err := s.acquireSlotWait(ctx, s.cfg.AdmissionWait); err != nil {
-		s.metrics.rejected.Add(1)
-		return nil, err
-	}
-	defer s.releaseSlot()
-
-	item, _, isQuad, mode, err := s.resolveSweepItem(ctx, &sr.Item)
-	if err != nil {
-		return nil, err
-	}
-	scens := make([]ssta.Scenario, len(sr.Scenarios))
-	for k := range sr.Scenarios {
-		sc, err := s.convertScenario(ctx, &sr.Scenarios[k], isQuad)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %v", sr.Indices[k], err)
-		}
-		scens[k] = sc
-	}
-
-	metricsHook := s.scenarioMetricsHook()
-	opt := ssta.SweepOptions{
-		Workers: sr.Workers,
-		OnScenarioDone: func(k int, r *ssta.ScenarioResult) {
-			metricsHook(k, r)
-			if !sr.Stream || k < 0 || k >= len(sr.Indices) {
-				return
-			}
-			ev := toWire(sr.Indices[k], r)
+	st := &seat{specs: sr.Scenarios}
+	if sr.Stream {
+		st.onScenario = func(k int, r *ssta.ScenarioResult) {
 			// Best effort: the final response repeats every result.
-			_ = req.Emit(marshalJSON(ev))
-		},
+			_ = req.Emit(marshalJSON(toWire(sr.Indices[k], r)))
+		}
 	}
-	var rep *ssta.SweepReport
-	if isQuad {
-		rep, err = ssta.SweepAnalyze(ctx, item.Design, mode, scens, opt)
-	} else {
-		rep, err = ssta.SweepAnalyzeGraph(ctx, item.Graph, scens, opt)
+	err := s.execute(ctx, false, 1, &execution{subject: sr.Item, seats: []*seat{st}, workers: sr.Workers})
+	if err == nil {
+		err = st.err
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := shardResponse{
-		Results: make([]wireScenarioResult, len(rep.Results)),
-		Verts:   rep.TopVerts,
-		Edges:   rep.TopEdges,
+		Results: make([]wireScenarioResult, len(st.rep.Results)),
+		Verts:   st.rep.TopVerts,
+		Edges:   st.rep.TopEdges,
 	}
-	for k := range rep.Results {
-		out.Results[k] = toWire(sr.Indices[k], &rep.Results[k])
+	for k := range st.rep.Results {
+		out.Results[k] = toWire(sr.Indices[k], &st.rep.Results[k])
 	}
 	return marshalJSON(out), nil
 }

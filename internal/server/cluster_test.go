@@ -136,6 +136,58 @@ func TestClusterSweepMatchesStandalone(t *testing.T) {
 	if !ok || len(nodes) != 2 {
 		t.Fatalf("healthz cluster nodes = %v, want 2", cl["nodes"])
 	}
+
+	// An analyze item is its subject's identity scenario, so it shards like
+	// a sweep and answers exactly like standalone, slack views included.
+	before := cs.cluster.dispatches.Load()
+	areq := AnalyzeRequest{Items: []ItemSpec{
+		{Bench: "c432", Seed: 1, Clocked: true},
+		{Quad: &QuadSpec{Bench: "c432", Seed: 1}},
+	}}
+	got, want := analyze(t, chs.URL, areq), analyze(t, shs.URL, areq)
+	for k, w := range want.Results {
+		g := got.Results[k]
+		if g.Error != "" || w.Error != "" || g.Name != w.Name || !near(g.MeanPS, w.MeanPS) || !near(g.StdPS, w.StdPS) ||
+			g.Verts != w.Verts || g.Edges != w.Edges || (g.Setup == nil) != (w.Setup == nil) ||
+			g.Setup != nil && (!near(g.Setup.MeanPS, w.Setup.MeanPS) || !near(g.Hold.MeanPS, w.Hold.MeanPS)) {
+			t.Fatalf("analyze item %d: clustered %+v vs standalone %+v", k, g, w)
+		}
+	}
+	if n := cs.cluster.dispatches.Load() - before; n < 2 {
+		t.Fatalf("analyze dispatched %d shards, want one per item", n)
+	}
+
+	// A one-scenario execution lands on its subject's ring node, so analyze
+	// traffic over distinct subjects spreads over the pool: pick one subject
+	// homed on each worker and check every worker ran its item.
+	items := make([]ItemSpec, len(workers))
+	for seed := int64(10); seed < 74; seed++ {
+		spec := ItemSpec{Bench: "c432", Seed: seed}
+		fp := ItemFingerprint(&spec)
+		home := cs.cluster.pool.Pick(fp[:]).Addr()
+		for i, w := range workers {
+			if w.addr == home && items[i].Bench == "" {
+				items[i] = spec
+			}
+		}
+	}
+	ran := make([]int64, len(workers))
+	for i, w := range workers {
+		if items[i].Bench == "" {
+			t.Fatalf("no seed in [10, 74) homes on worker %s", w.addr)
+		}
+		ran[i] = w.srv.metrics.scenariosTotal.Load()
+	}
+	for k, r := range analyze(t, chs.URL, AnalyzeRequest{Items: items}).Results {
+		if r.Error != "" {
+			t.Fatalf("analyze item %d: %s", k, r.Error)
+		}
+	}
+	for i, w := range workers {
+		if w.srv.metrics.scenariosTotal.Load() == ran[i] {
+			t.Fatalf("worker %s ran none of the analyze items homed on it", w.addr)
+		}
+	}
 }
 
 // compareSweepResponses asserts two wire-level sweep answers agree at 1e-9:

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/ssta"
 )
 
@@ -27,18 +25,18 @@ import (
 //     still running.
 //  2. The micro-batcher gathers *compatible* requests — same analysis
 //     subject (ItemFingerprint) and mode, different scenarios — within a
-//     size/latency window (Config.BatchMax / Config.BatchWindow) and
-//     answers them all from ONE shared-prep sweep, splitting the report
-//     back per caller. A plain /v1/analyze request rides along as the
-//     identity scenario, which the sweep engine evaluates over the shared
-//     base bank — numerically identical to a direct analysis at 1e-9.
+//     size/latency window (Config.BatchMax / Config.BatchWindow) as seats
+//     of ONE execution, which answers them from one shared-prep sweep and
+//     splits the report back per seat. A plain /v1/analyze request is the
+//     identity-scenario seat it is everywhere else.
 //
 // Admission accounting is per-execution: one coalesced or batched
 // execution holds one analysis slot no matter how many callers it answers.
 // Coalescing is always on (it is pure dedup); batching is opt-in via
 // Config.BatchWindow because it trades first-request latency for
-// throughput and changes which per-item metrics fire (batched items are
-// accounted as sweep scenarios).
+// throughput. It decides only whether seats wait to gather: the same
+// executor answers them, and every seat counts in the per-item and
+// per-scenario metrics exactly as it would alone.
 
 // flight is one in-flight coalesced execution. The leader runs it and
 // publishes the response; followers wait on done and replay the bytes.
@@ -128,7 +126,7 @@ func (s *Server) serveCoalesced(w http.ResponseWriter, r *http.Request, endpoint
 		}
 		return
 	}
-	execCtx, execCancel := s.requestCtx(s.baseCtx, &AnalyzeRequest{TimeoutMS: timeoutMS})
+	execCtx, execCancel := s.requestCtx(s.baseCtx, timeoutMS)
 	defer execCancel()
 	f.execCancel = execCancel
 	// The leader's own departure is tracked like a follower's: if its
@@ -143,42 +141,47 @@ func (s *Server) serveCoalesced(w http.ResponseWriter, r *http.Request, endpoint
 	writeRaw(w, status, body)
 }
 
-// batchKey groups compatible requests: same analysis subject, same
+// batchKey groups compatible executions: same analysis subject, same
 // correlation mode. Scheduling knobs (workers, timeout) deliberately stay
-// out — they do not change results, and the batch runs under the most
+// out — they do not change results, and the group runs under the most
 // generous of its callers' settings.
 type batchKey struct {
 	subject Fingerprint
 	mode    ssta.Mode
 }
 
-// batchCall is one caller's seat in a micro-batch.
+// batchKeyOf returns the group of a lone execution, false when it answers
+// alone: a subject that is not exactly one valid input fails on its own,
+// and an extraction would hold every other seat of its group until it
+// finished.
+func batchKeyOf(ex *execution) (batchKey, bool) {
+	spec := &ex.subject
+	mode, err := parseMode(spec.Mode)
+	if err != nil || len(spec.inputs()) != 1 || ex.extract {
+		return batchKey{}, false
+	}
+	return batchKey{subject: ItemFingerprint(spec), mode: mode}, true
+}
+
+// batchCall is one caller's execution waiting in a micro-batch.
 type batchCall struct {
-	endpoint string              // "analyze" or "sweep"
-	name     string              // caller's display name ("" = subject default)
-	specs    []SweepScenarioSpec // caller's scenarios; nil means the identity scenario (analyze)
-	topK     int
-	workers  int
-	timeout  time.Duration   // effective deadline contribution to the group
-	ctx      context.Context // caller-side context (departure tracking)
-	done     chan struct{}
-	status   int
-	body     []byte
-	unionIdx []int // caller scenario k -> union scenario index
+	ex   *execution
+	ctx  context.Context // caller-side context (deadline, departure tracking)
+	done chan struct{}
+	err  error
 }
 
 // batchGroup is one gathering micro-batch.
 type batchGroup struct {
 	key     batchKey
-	spec    ItemSpec // subject (Name cleared); first caller's wording
 	calls   []*batchCall
 	timer   *time.Timer
 	flushed bool
 }
 
-// batcher gathers compatible requests and flushes them onto one
-// shared-prep sweep when the group reaches max callers or the window
-// expires, whichever comes first.
+// batcher gathers compatible executions and flushes them as one execution
+// when the group reaches max callers or the window expires, whichever
+// comes first.
 type batcher struct {
 	s      *Server
 	mu     sync.Mutex
@@ -194,18 +197,17 @@ func newBatcher(s *Server, max int, window time.Duration) *batcher {
 	return &batcher{s: s, groups: make(map[batchKey]*batchGroup), max: max, window: window}
 }
 
-// do enqueues one call and blocks until the group's execution answers it
-// (or the caller's context dies first — the group then continues for the
-// others and this response is dropped).
-func (b *batcher) do(ctx context.Context, key batchKey, spec ItemSpec, call *batchCall) (int, []byte) {
-	call.ctx = ctx
-	call.done = make(chan struct{})
+// do enqueues one execution and blocks until its group's execution has
+// answered its seats, returning the group's admission error. When the
+// caller's context dies first, do returns that instead and the group
+// continues for the others — the caller must then not read its seats.
+func (b *batcher) do(ctx context.Context, key batchKey, ex *execution) error {
+	call := &batchCall{ex: ex, ctx: ctx, done: make(chan struct{})}
 	b.s.metrics.batchRequests.Add(1)
 	b.mu.Lock()
 	g, ok := b.groups[key]
 	if !ok {
-		spec.Name = ""
-		g = &batchGroup{key: key, spec: spec}
+		g = &batchGroup{key: key}
 		b.groups[key] = g
 		g.timer = time.AfterFunc(b.window, func() { b.flush(g, "deadline") })
 	}
@@ -217,16 +219,15 @@ func (b *batcher) do(ctx context.Context, key batchKey, spec ItemSpec, call *bat
 	}
 	select {
 	case <-call.done:
-		return call.status, call.body
+		return call.err
 	case <-ctx.Done():
 		// Late result may have raced the cancellation; prefer it.
 		select {
 		case <-call.done:
-			return call.status, call.body
+			return call.err
 		default:
 		}
-		return http.StatusRequestTimeout,
-			errorBody(http.StatusRequestTimeout, fmt.Sprintf("request expired before its micro-batch completed: %v", ctx.Err()))
+		return fmt.Errorf("request expired before its micro-batch completed: %w", ctx.Err())
 	}
 }
 
@@ -247,7 +248,7 @@ func (b *batcher) flush(g *batchGroup, reason string) {
 	calls := g.calls
 	b.mu.Unlock()
 	b.s.metrics.batchFlush(reason)
-	go b.run(g.key, g.spec, calls)
+	go b.run(calls)
 }
 
 // gathering samples the number of groups currently open for /metrics.
@@ -257,81 +258,27 @@ func (b *batcher) gathering() int {
 	return len(b.groups)
 }
 
-// identitySpec is the scenario a plain analyze request contributes to a
-// batch: the zero transform, evaluated over the shared base bank.
-var identitySpec = []SweepScenarioSpec{{}}
-
-// callSpecs returns the caller's scenario list (identity for analyze).
-func (c *batchCall) callSpecs() []SweepScenarioSpec {
-	if c.specs == nil {
-		return identitySpec
-	}
-	return c.specs
-}
-
-// run executes one flushed micro-batch: dedupe scenarios across callers,
-// take ONE admission slot, resolve the shared subject, run ONE shared-prep
-// sweep, and split the report back per caller.
-func (b *batcher) run(key batchKey, spec ItemSpec, calls []*batchCall) {
+// run executes one flushed micro-batch: the callers' seats, over the
+// first caller's subject (unnamed: every seat keeps its own label), as ONE
+// execution.
+func (b *batcher) run(calls []*batchCall) {
 	s, m := b.s, b.s.metrics
 	m.batchExecutions.Add(1)
 	m.batchOccSum.Add(int64(len(calls)))
 
-	publish := func(c *batchCall, status int, body []byte) {
-		c.status, c.body = status, body
-		close(c.done)
-	}
-	failAll := func(alive []*batchCall, status int, msg string) {
-		for _, c := range alive {
-			publish(c, status, errorBody(status, msg))
-		}
-	}
-	classify := func(err error) int {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return http.StatusRequestTimeout
-		}
-		return http.StatusBadRequest
-	}
-
-	// Union of distinct scenario transforms across callers, content-keyed:
-	// two callers naming the same knobs differently share one evaluation.
-	// Union scenarios carry opaque internal names; caller-facing names are
-	// rewritten at reassembly.
-	var union []SweepScenarioSpec
-	index := make(map[Fingerprint]int)
-	total := 0
+	ex := &execution{subject: calls[0].ex.subject, workers: s.cfg.Workers}
+	ex.subject.Name = ""
+	var deadline time.Time
 	for _, c := range calls {
-		specs := c.callSpecs()
-		c.unionIdx = make([]int, len(specs))
-		for k := range specs {
-			total++
-			fp := ScenarioFingerprint(&specs[k])
-			u, ok := index[fp]
-			if !ok {
-				u = len(union)
-				index[fp] = u
-				sp := specs[k]
-				sp.Name = fmt.Sprintf("u%d", u)
-				union = append(union, sp)
-			}
-			c.unionIdx[k] = u
+		ex.seats = append(ex.seats, c.ex.seats...)
+		ex.workers = max(ex.workers, c.ex.workers)
+		if dl, ok := c.ctx.Deadline(); ok && dl.After(deadline) {
+			deadline = dl
 		}
 	}
-	m.scenariosDeduped.Add(int64(total - len(union)))
-
 	// Group execution context: the server's lifetime bounded by the most
 	// generous caller deadline, cancelled early when every caller departs.
-	dur := time.Duration(0)
-	workers := s.cfg.Workers
-	for _, c := range calls {
-		if c.timeout > dur {
-			dur = c.timeout
-		}
-		if c.workers > workers {
-			workers = c.workers
-		}
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, dur)
+	ctx, cancel := context.WithDeadline(s.baseCtx, deadline)
 	defer cancel()
 	var refs atomic.Int64
 	refs.Store(int64(len(calls)))
@@ -343,268 +290,10 @@ func (b *batcher) run(key batchKey, spec ItemSpec, calls []*batchCall) {
 		})
 	}
 
-	// ONE admission slot covers the whole batch — this is the accounting
-	// shift from per-request to per-execution.
-	if err := s.acquireSlotWait(ctx, s.admissionWait(ctx)); err != nil {
-		for range calls {
-			m.rejected.Add(1)
-		}
-		failAll(calls, http.StatusTooManyRequests, err.Error())
-		return
-	}
-	defer s.releaseSlot()
-
-	start := time.Now()
-	item, subjName, isQuad, mode, err := s.resolveSweepItem(ctx, &spec)
-	if err != nil {
-		status := classify(err)
-		for range calls {
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
-		}
-		failAll(calls, status, err.Error())
-		return
-	}
-	_ = mode // the group key's mode was parsed from the same spec
-
-	// Materialize the union scenarios. A failing scenario fails only the
-	// callers that asked for it; the rest of the batch proceeds without it.
-	scens := make([]ssta.Scenario, len(union))
-	var failedUnion map[int]error
-	for u := range union {
-		sc, cerr := s.convertScenario(ctx, &union[u], isQuad)
-		if cerr != nil {
-			if failedUnion == nil {
-				failedUnion = make(map[int]error)
-			}
-			failedUnion[u] = cerr
-			continue
-		}
-		scens[u] = sc
-	}
-	alive := calls
-	if failedUnion != nil {
-		var keep []*batchCall
-		for _, c := range calls {
-			bad := -1
-			for k, u := range c.unionIdx {
-				if _, failed := failedUnion[u]; failed {
-					bad = k
-					break
-				}
-			}
-			if bad < 0 {
-				keep = append(keep, c)
-				continue
-			}
-			cerr := failedUnion[c.unionIdx[bad]]
-			status := classify(cerr)
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
-			publish(c, status, errorBody(status, fmt.Sprintf("scenario %d: %v", bad, cerr)))
-		}
-		alive = keep
-		if len(alive) == 0 {
-			return
-		}
-		remap := make([]int, len(union))
-		var cs []ssta.Scenario
-		var us []SweepScenarioSpec
-		for u := range union {
-			if _, failed := failedUnion[u]; failed {
-				remap[u] = -1
-				continue
-			}
-			remap[u] = len(cs)
-			cs = append(cs, scens[u])
-			us = append(us, union[u])
-		}
-		scens, union = cs, us
-		for _, c := range alive {
-			for k := range c.unionIdx {
-				c.unionIdx[k] = remap[c.unionIdx[k]]
-			}
-		}
-	}
-
-	opt := ssta.SweepOptions{
-		Workers:        workers,
-		OnScenarioDone: s.scenarioMetricsHook(),
-	}
-	// The batch runs through the same dispatch seam as a solo sweep, so a
-	// clustered coordinator shards micro-batch executions across workers
-	// exactly like direct /v1/sweep traffic.
-	pr := &sweepPrep{
-		item:    item,
-		name:    subjName,
-		isQuad:  isQuad,
-		mode:    key.mode,
-		scens:   scens,
-		workers: workers,
-		spec:    spec,
-		specs:   union,
-	}
-	rep, err := s.runSweep(ctx, pr, opt)
-	if err != nil {
-		status := classify(err)
-		for range alive {
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
-		}
-		failAll(alive, status, err.Error())
-		return
-	}
-	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
-
-	// Split the shared report back per caller: caller-local scenario names
-	// and order, caller-local envelope/divergence (recomputed over exactly
-	// the caller's scenarios, so the response matches a solo request).
-	for _, c := range alive {
-		name := c.name
-		if name == "" {
-			name = subjName
-		}
-		if c.endpoint == "analyze" {
-			r := rep.Results[c.unionIdx[0]]
-			out := ItemResult{Name: name, ElapsedMS: float64(r.Elapsed.Microseconds()) / 1000}
-			if r.Err != nil {
-				out.Error = r.Err.Error()
-			} else {
-				out.MeanPS, out.StdPS, out.P9987PS = r.Mean, r.Std, r.Quantile
-				// Scalar graph stats survive distributed execution where
-				// rep.Top stays nil (the worker-side graph never crosses the
-				// wire) — the analyze-rider half of the PR 9 Top-loss fix.
-				out.Verts, out.Edges = rep.TopVerts, rep.TopEdges
-				out.Setup = slackViewOfStat(r.SetupSlack)
-				out.Hold = slackViewOfStat(r.HoldSlack)
-			}
-			publish(c, http.StatusOK, marshalJSON(&AnalyzeResponse{Results: []ItemResult{out}, ElapsedMS: elapsedMS}))
-			continue
-		}
-		specs := c.callSpecs()
-		results := make([]ssta.ScenarioResult, len(specs))
-		for k, u := range c.unionIdx {
-			r := rep.Results[u]
-			r.Name = specs[k].Name
-			if r.Name == "" {
-				r.Name = fmt.Sprintf("scenario-%d", k)
-			}
-			results[k] = r
-		}
-		crep := scenario.NewReport(results, scenario.Options{TopK: c.topK})
-		crep.Top = rep.Top
-		crep.TopVerts, crep.TopEdges = rep.TopVerts, rep.TopEdges
-		publish(c, http.StatusOK, marshalJSON(sweepResponseView(name, crep, elapsedMS)))
-	}
-}
-
-// scenarioMetricsHook is the shared per-scenario accounting of every sweep
-// execution: deadline-cut scenarios are rejections, not latency samples.
-func (s *Server) scenarioMetricsHook() func(int, *ssta.ScenarioResult) {
-	return func(_ int, res *ssta.ScenarioResult) {
-		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-			s.metrics.scenariosRejected.Add(1)
-			return
-		}
-		s.metrics.observeScenario(res.Elapsed, res.Err != nil)
-	}
-}
-
-// analyzeBatchCall maps a batchable analyze request onto its batch seat.
-// Batchable means: exactly one item, exactly one input selector, no
-// extraction (the sweep engine does not extract models), and a parseable
-// mode. Everything else takes the direct runBatch path.
-func (s *Server) analyzeBatchCall(req *AnalyzeRequest) (batchKey, ItemSpec, *batchCall, bool) {
-	if len(req.Items) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	spec := req.Items[0]
-	if spec.Extract || len(spec.inputs()) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	call := &batchCall{
-		endpoint: "analyze",
-		name:     spec.Name,
-		workers:  req.ItemWorkers,
-		timeout:  s.effectiveTimeout(req.TimeoutMS),
-	}
-	return batchKey{subject: ItemFingerprint(&spec), mode: mode}, spec, call, true
-}
-
-// sweepBatchCall maps a batchable sweep request onto its batch seat.
-func (s *Server) sweepBatchCall(req *SweepRequest, specs []SweepScenarioSpec) (batchKey, ItemSpec, *batchCall, bool) {
-	spec := req.ItemSpec
-	if len(spec.inputs()) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	call := &batchCall{
-		endpoint: "sweep",
-		name:     spec.Name,
-		specs:    specs,
-		topK:     req.TopK,
-		workers:  req.Workers,
-		timeout:  s.effectiveTimeout(req.TimeoutMS),
-	}
-	return batchKey{subject: ItemFingerprint(&spec), mode: mode}, spec, call, true
-}
-
-// effectiveTimeout resolves the timeout_ms knob against server defaults
-// and the clamp — the same arithmetic as requestCtx, without the context.
-func (s *Server) effectiveTimeout(ms int64) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
-}
-
-// admissionWait is the sync-path slot-wait bound: the configured
-// AdmissionWait, or half the remaining deadline so an overloaded server
-// sheds load instead of queueing work that will blow its deadline anyway.
-func (s *Server) admissionWait(ctx context.Context) time.Duration {
-	if s.cfg.AdmissionWait > 0 {
-		return s.cfg.AdmissionWait
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		return time.Until(dl) / 2
-	}
-	return 0
-}
-
-// acquireSlotWait takes an analysis slot under ctx, additionally bounded
-// by wait when positive. The error wraps the context cause.
-func (s *Server) acquireSlotWait(ctx context.Context, wait time.Duration) error {
-	admit := ctx
-	if wait > 0 {
-		var cancel context.CancelFunc
-		admit, cancel = context.WithTimeout(ctx, wait)
-		defer cancel()
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-admit.Done():
-		return fmt.Errorf("no analysis slot: %w", admit.Err())
+	err := s.execute(ctx, true, 1, ex)
+	for _, c := range calls {
+		c.err = err
+		close(c.done)
 	}
 }
 

@@ -197,6 +197,19 @@ func TestBatchedFrontMatchesIndependent(t *testing.T) {
 	if got := metricValue(t, batched.URL, `sstad_batch_flush_total{reason="size"}`); got != 1 {
 		t.Fatalf("size flushes = %g, want 1", got)
 	}
+
+	// Batching changes only how seats gather: the analyze counts as an item
+	// and every sweep scenario as a scenario, exactly as unbatched.
+	for _, name := range []string{
+		"sstad_items_total",
+		"sstad_item_latency_seconds_count",
+		"sstad_sweep_scenarios_total",
+		"sstad_sweep_scenario_latency_seconds_count",
+	} {
+		if got, want := metricValue(t, batched.URL, name), metricValue(t, plain.URL, name); got != want {
+			t.Fatalf("%s: batched %g, unbatched %g", name, got, want)
+		}
+	}
 }
 
 // sseEvent is one parsed server-sent event.

@@ -45,6 +45,9 @@ type job struct {
 	cancel  context.CancelFunc // non-nil only while running
 }
 
+// maxFinishedJobs bounds the finished jobs a server retains for polling.
+const maxFinishedJobs = 256
+
 // jobStore is the bounded in-memory job registry. The queue is a
 // mutex-guarded FIFO slice (not a channel) so cancelling a queued job
 // reclaims its capacity immediately; wake is a buffered signal channel the
@@ -65,9 +68,6 @@ type jobStore struct {
 func newJobStore(queueDepth, maxFinished int) *jobStore {
 	if queueDepth <= 0 {
 		queueDepth = 64
-	}
-	if maxFinished <= 0 {
-		maxFinished = 256
 	}
 	return &jobStore{
 		jobs:    make(map[string]*job),
@@ -231,9 +231,10 @@ func (st *jobStore) counts() (queued, running int, finished int64) {
 
 // runJobs is a job-worker loop: it drains the queue until the server shuts
 // down. Each worker runs one job at a time; the analysis itself fans out
-// per the request's workers knob and still passes through the same
-// admission semaphore as sync requests, so total analysis concurrency stays
-// bounded no matter how the work arrives.
+// per the request's workers knob and takes its slot through the same
+// executor as sync requests (waiting on its own context rather than
+// shedding load), so total analysis concurrency stays bounded no matter
+// how the work arrives.
 func (s *Server) runJobs(base context.Context) {
 	defer s.wg.Done()
 	for {
@@ -253,7 +254,7 @@ func (s *Server) runJobs(base context.Context) {
 func (s *Server) runJob(base context.Context, j *job) {
 	// Jobs honor the same per-request deadline knob as sync requests, on
 	// top of explicit DELETE cancellation.
-	ctx, cancel := s.requestCtx(base, &j.req)
+	ctx, cancel := s.requestCtx(base, j.req.TimeoutMS)
 	defer cancel()
 
 	st := s.jobs
@@ -268,7 +269,7 @@ func (s *Server) runJob(base context.Context, j *job) {
 	st.running++
 	st.mu.Unlock()
 
-	resp, err := s.runBatch(ctx, 0, j.req)
+	resp, err := s.analyze(ctx, false, &j.req)
 
 	st.mu.Lock()
 	j.ended = time.Now()

@@ -66,7 +66,8 @@ type metrics struct {
 	coalesceSweep   atomic.Int64
 
 	// Micro-batching front. Occupancy sum / executions = mean batch size;
-	// scenariosDeduped counts union scenarios shared by multiple callers.
+	// scenariosDeduped counts scenarios an execution answered from an
+	// identical one (across batched seats or within one request).
 	batchRequests      atomic.Int64 // calls routed through the batcher
 	batchExecutions    atomic.Int64 // batched sweep executions launched
 	batchOccSum        atomic.Int64 // callers summed over executions
@@ -119,13 +120,19 @@ func (m *metrics) observeItem(d time.Duration, failed bool) {
 	m.latMu.Unlock()
 }
 
-// observeScenario records one finished sweep scenario.
-func (m *metrics) observeScenario(d time.Duration, failed bool) {
+// observeScenario records one finished sweep scenario; its signature makes
+// it a sweep's OnScenarioDone hook. A scenario cut by a deadline is a
+// rejection, not a latency sample.
+func (m *metrics) observeScenario(_ int, r *ssta.ScenarioResult) {
+	if isCut(r.Err) {
+		m.scenariosRejected.Add(1)
+		return
+	}
 	m.scenariosTotal.Add(1)
-	if failed {
+	if r.Err != nil {
 		m.scenarioErrors.Add(1)
 	}
-	sec := d.Seconds()
+	sec := r.Elapsed.Seconds()
 	m.sweepMu.Lock()
 	m.sweepSum += sec
 	m.sweepCount++
@@ -216,7 +223,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP sstad_batch_flush_total Micro-batch group flushes by trigger.")
 	p(`sstad_batch_flush_total{reason="size"} %d`, m.batchFlushSize.Load())
 	p(`sstad_batch_flush_total{reason="deadline"} %d`, m.batchFlushDeadline.Load())
-	p("# HELP sstad_batch_scenarios_deduped_total Union scenarios shared by multiple batched callers.")
+	p("# HELP sstad_batch_scenarios_deduped_total Scenarios answered by an identical scenario of the same execution.")
 	p("sstad_batch_scenarios_deduped_total %d", m.scenariosDeduped.Load())
 	if s.batch != nil {
 		p("# HELP sstad_batch_gathering Micro-batch groups currently gathering callers.")

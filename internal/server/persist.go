@@ -438,9 +438,12 @@ func (p *persister) flush(ctx context.Context) {
 	}
 
 	bo := p.retryPolicy()
+	// Every failed entry is re-queued — one cut short by shutdown too, so
+	// the final flush still writes it; only a store failure counts against
+	// the store's health.
 	var firstErr error
 	fail := func(err error) {
-		if firstErr == nil {
+		if firstErr == nil && ctx.Err() == nil {
 			firstErr = err
 		}
 	}
@@ -448,7 +451,7 @@ func (p *persister) flush(ctx context.Context) {
 	for id := range dead {
 		key := sessionKey(id)
 		err := bo.Retry(ctx, func() error { return p.store.Delete(ctx, key) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("delete %s: %w", key, err))
 			p.mu.Lock()
 			p.dead[id] = struct{}{}
@@ -471,7 +474,7 @@ func (p *persister) flush(ctx context.Context) {
 		}
 		key := sessionKey(id)
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, gone := p.dead[id]; !gone {
@@ -489,7 +492,7 @@ func (p *persister) flush(ctx context.Context) {
 			continue
 		}
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, seen := p.models[key]; !seen {
@@ -507,7 +510,7 @@ func (p *persister) flush(ctx context.Context) {
 			continue
 		}
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, seen := p.preps[key]; !seen {
@@ -517,13 +520,11 @@ func (p *persister) flush(ctx context.Context) {
 			p.mu.Unlock()
 			continue
 		}
-		if err == nil {
-			// A design's prep identity never changes; once the stamp is
-			// durable, later analyses of the same design stop re-enqueuing it.
-			p.mu.Lock()
-			p.prepDone[key] = struct{}{}
-			p.mu.Unlock()
-		}
+		// A design's prep identity never changes; once the stamp is durable,
+		// later analyses of the same design stop re-enqueuing it.
+		p.mu.Lock()
+		p.prepDone[key] = struct{}{}
+		p.mu.Unlock()
 	}
 
 	p.mu.Lock()

@@ -113,7 +113,7 @@ func parseMode(s string) (ssta.Mode, error) {
 	}
 }
 
-// countInputs returns the populated input selectors of the spec.
+// inputs returns the populated input selectors of the spec.
 func (s *ItemSpec) inputs() []string {
 	var set []string
 	if s.Bench != "" {
@@ -131,118 +131,93 @@ func (s *ItemSpec) inputs() []string {
 	return set
 }
 
-// prepareItem converts one wire spec into a runnable ssta.BatchItem.
-// Flat graphs come out of the server's bounded graph cache, so a repeated
-// bench/mult/quad request reuses one *Graph — which is also what makes the
-// extraction cache hit on repeats (it is keyed by graph identity).
-func (s *Server) prepareItem(ctx context.Context, spec *ItemSpec) (ssta.BatchItem, error) {
+// subject is a resolved item spec: the flat graph or quad design that an
+// execution or a session analyzes.
+type subject struct {
+	spec   ItemSpec // wire form, re-sent to cluster workers with each shard
+	name   string
+	graph  *ssta.Graph  // bench, netlist and mult items
+	design *ssta.Design // quad items
+	mode   ssta.Mode
+	key    graphKey // identity of a cached flat graph; zero for netlists
+}
+
+// resolve maps an item spec onto its subject. Flat bench/mult graphs come
+// out of the server's bounded graph cache, so a repeated request reuses
+// one *Graph — which is also what makes the extraction cache hit on
+// repeats (it is keyed by graph identity); quad designs come out of the
+// design cache, so their per-mode prep survives across requests.
+func (s *Server) resolve(ctx context.Context, spec *ItemSpec) (*subject, error) {
 	set := spec.inputs()
 	switch len(set) {
 	case 0:
-		return ssta.BatchItem{}, fmt.Errorf("item has no input: set one of bench, netlist, mult or quad")
+		return nil, fmt.Errorf("item has no input: set one of bench, netlist, mult or quad")
 	case 1:
 	default:
-		return ssta.BatchItem{}, fmt.Errorf("item sets %d inputs (%s); exactly one of bench, netlist, mult or quad must be set",
+		return nil, fmt.Errorf("item sets %d inputs (%s); exactly one of bench, netlist, mult or quad must be set",
 			len(set), strings.Join(set, ", "))
 	}
 	mode, err := parseMode(spec.Mode)
 	if err != nil {
-		return ssta.BatchItem{}, err
+		return nil, err
 	}
 
-	item := ssta.BatchItem{Name: spec.Name, Extract: spec.Extract}
+	sub := &subject{spec: *spec, name: spec.Name, mode: mode}
 	switch {
 	case spec.Quad != nil:
 		if spec.Clocked {
-			return ssta.BatchItem{}, fmt.Errorf("clocked applies to bench, netlist or mult items only")
+			return nil, fmt.Errorf("clocked applies to bench, netlist or mult items only")
 		}
-		d, err := s.quadDesign(ctx, spec.Quad)
-		if err != nil {
-			return ssta.BatchItem{}, err
+		if sub.design, err = s.quadDesign(ctx, spec.Quad); err != nil {
+			return nil, err
 		}
 		// The upcoming analysis warms this design's per-mode prep; stamp it
 		// so a restarted daemon can rebuild the warm prep before its first
-		// sweep (satellite of the durable-state story).
+		// sweep.
 		s.checkpointPrep(spec.Quad, mode)
-		item.Design = d
-		item.Mode = mode
-		if item.Name == "" {
-			item.Name = d.Name
+		if sub.name == "" {
+			sub.name = sub.design.Name
 		}
-		item.Extract = false // extraction applies to flat items only
 
 	case spec.Netlist != "":
 		c, err := ssta.ParseBench(spec.Name, strings.NewReader(spec.Netlist))
 		if err != nil {
-			return ssta.BatchItem{}, fmt.Errorf("netlist: %w", err)
+			return nil, fmt.Errorf("netlist: %w", err)
 		}
 		if spec.Clocked {
 			if c, err = ssta.Clocked(c); err != nil {
-				return ssta.BatchItem{}, fmt.Errorf("netlist: %w", err)
+				return nil, fmt.Errorf("netlist: %w", err)
 			}
 		}
-		item.Circuit = c
-		if item.Name == "" {
-			item.Name = c.Name
+		if sub.graph, _, err = s.flow.Graph(c); err != nil {
+			return nil, err
+		}
+		if sub.name == "" {
+			sub.name = c.Name
 		}
 
 	default: // bench or mult: served from the graph cache
-		g, err := s.cachedGraph(ctx, graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked})
-		if err != nil {
-			return ssta.BatchItem{}, err
+		sub.key = graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked}
+		if sub.graph, _, err = s.graphs.get(ctx, s.flow, sub.key); err != nil {
+			return nil, err
 		}
-		item.Graph = g
-		if item.Name == "" {
+		if sub.name == "" {
 			if spec.Bench != "" {
-				item.Name = spec.Bench
+				sub.name = spec.Bench
 			} else {
-				item.Name = fmt.Sprintf("mult%d", spec.Mult)
+				sub.name = fmt.Sprintf("mult%d", spec.Mult)
 			}
 		}
 	}
-	return item, nil
+	return sub, nil
 }
 
-// itemResult flattens one BatchResult into its wire form.
-func itemResult(r *ssta.BatchResult) ItemResult {
-	out := ItemResult{Name: r.Name, ElapsedMS: float64(r.Elapsed.Microseconds()) / 1000}
-	if r.Err != nil {
-		out.Error = r.Err.Error()
-		return out
+// sweep runs the scenarios against the subject in this process.
+func (sub *subject) sweep(ctx context.Context, scens []ssta.Scenario, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
+	if sub.design != nil {
+		return ssta.SweepAnalyze(ctx, sub.design, sub.mode, scens, opt)
 	}
-	if r.Delay != nil {
-		out.MeanPS = r.Delay.Mean()
-		out.StdPS = r.Delay.Std()
-		out.P9987PS = r.Delay.Quantile(0.99865)
-	}
-	if r.Graph != nil {
-		out.Verts = r.Graph.NumVerts
-		out.Edges = len(r.Graph.Edges)
-	} else if r.Hier != nil && r.Hier.Graph != nil {
-		out.Verts = r.Hier.Graph.NumVerts
-		out.Edges = len(r.Hier.Graph.Edges)
-	}
-	if r.Model != nil && r.Model.Graph != nil {
-		out.ModelVerts = r.Model.Graph.NumVerts
-		out.ModelEdges = len(r.Model.Graph.Edges)
-	}
-	if r.Seq != nil {
-		out.Setup = slackViewOfForm(r.Seq.WorstSetup)
-		out.Hold = slackViewOfForm(r.Seq.WorstHold)
-	}
-	return out
-}
-
-// slackQuantile is the low-tail quantile slack views report — the mirror of
-// the 99.865% delay quantile the serving layer uses everywhere.
-const slackQuantile = 1 - 0.99865
-
-// slackViewOfForm flattens a worst-slack canonical form for the wire.
-func slackViewOfForm(f *ssta.Form) *SlackView {
-	if f == nil {
-		return nil
-	}
-	return &SlackView{MeanPS: f.Mean(), StdPS: f.Std(), QPS: f.Quantile(slackQuantile)}
+	return ssta.SweepAnalyzeGraph(ctx, sub.graph, scens, opt)
 }
 
 // slackViewOfStat flattens a sweep slack statistic (already quantiled at the
@@ -410,11 +385,6 @@ func buildGraph(flow *ssta.Flow, key graphKey) (*ssta.Graph, *ssta.Plan, error) 
 		return flow.ClockedBenchGraph(key.bench, key.seed)
 	}
 	return flow.BenchGraph(key.bench, key.seed)
-}
-
-func (s *Server) cachedGraph(ctx context.Context, key graphKey) (*ssta.Graph, error) {
-	g, _, err := s.graphs.get(ctx, s.flow, key)
-	return g, err
 }
 
 // quadDesign builds (or reuses) the four-instance hierarchical design for

@@ -20,21 +20,24 @@
 //	                     per-item latency
 //
 // Admission is bounded end to end: a semaphore caps concurrently running
-// analyses (sync requests wait on it under their deadline, 429 on
-// overload), the async queue is a fixed-depth channel (503 when full), and
-// every batch runs under a context whose cancellation reaches individual
-// graph vertices via ssta.AnalyzeBatchCtx.
+// analyses (sync requests wait on it for at most half their remaining
+// deadline, then shed load with 429), the async queue is a fixed-depth channel (503 when full), and
+// every execution runs under a context whose cancellation reaches
+// individual graph vertices.
 //
-// The synchronous front door (analyze + sweep) additionally coalesces and
+// Every analysis runs through one executor (see execute.go): analyze and
+// job items, direct, streamed and micro-batched sweeps and cluster shards
+// all become executions of one subject answered by the shared-prep sweep
+// engine, a plain analyze being the subject's identity scenario. The
+// synchronous front door (analyze + sweep) additionally coalesces and
 // micro-batches (see coalesce.go): byte-identical concurrent requests
 // share one execution, and — with batching enabled — compatible requests
-// against the same subject merge into one shared-prep sweep.
+// against the same subject gather as seats of one execution.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -54,15 +57,10 @@ type Config struct {
 	// MaxConcurrent caps analyses running at once across sync requests and
 	// job workers (<=0: 2).
 	MaxConcurrent int
-	// AdmissionWait caps how long a sync request may wait for an analysis
-	// slot before 429 (<=0: half its deadline).
-	AdmissionWait time.Duration
 	// QueueDepth bounds the async job queue (<=0: 64).
 	QueueDepth int
 	// JobWorkers is the number of job-draining goroutines (<=0: 1).
 	JobWorkers int
-	// MaxFinishedJobs bounds retained finished jobs (<=0: 256).
-	MaxFinishedJobs int
 	// DefaultTimeout applies to requests that set no timeout_ms (<=0: 60s).
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps client-requested deadlines (<=0: 10m).
@@ -71,7 +69,7 @@ type Config struct {
 	MaxItems int
 	// BatchWindow is the micro-batcher's gathering window: compatible
 	// requests (same subject and mode, any scenarios) arriving within it
-	// are answered from one shared-prep sweep. <=0 disables batching (the
+	// gather as seats of one execution. <=0 disables batching (the
 	// default) — coalescing of identical requests stays on regardless.
 	BatchWindow time.Duration
 	// BatchMax flushes a gathering micro-batch early once this many
@@ -118,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 1
-	}
-	if c.MaxFinishedJobs <= 0 {
-		c.MaxFinishedJobs = 256
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
@@ -212,7 +207,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		graphs:   newGraphCache(cfg.GraphCacheEntries),
-		jobs:     newJobStore(cfg.QueueDepth, cfg.MaxFinishedJobs),
+		jobs:     newJobStore(cfg.QueueDepth, maxFinishedJobs),
 		sessions: newSessionStore(cfg.MaxSessions, cfg.SessionTTL),
 		metrics:  newMetrics(),
 		quads:    make(map[quadKey]*ssta.Design),
@@ -287,11 +282,12 @@ func (s *Server) Close() {
 
 func (s *Server) activeAnalyses() int { return len(s.sem) }
 
-// requestCtx derives the batch context honoring the client deadline knob.
-func (s *Server) requestCtx(parent context.Context, req *AnalyzeRequest) (context.Context, context.CancelFunc) {
+// requestCtx derives an execution context honoring the client deadline
+// knob (timeout_ms; zero selects the server default, the maximum clamps).
+func (s *Server) requestCtx(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		d = time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeoutMS > 0 {
+		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
@@ -324,75 +320,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeR
 	return req, true
 }
 
-// runBatch prepares the wire items and runs them through the batch engine
-// under ctx, holding one analysis slot for the duration. admissionWait > 0
-// bounds how long the call may block waiting for a slot (jobs pass 0: a
-// job worker owns its turn and only gives up with its context). Per-item
-// failures (including spec errors and cancellation) land in the item
-// results; the returned error is reserved for request-level failures.
-func (s *Server) runBatch(ctx context.Context, admissionWait time.Duration, req AnalyzeRequest) (*AnalyzeResponse, error) {
-	if err := s.acquireSlotWait(ctx, admissionWait); err != nil {
-		return nil, err
-	}
-	defer s.releaseSlot()
-
-	start := time.Now()
-	resp := &AnalyzeResponse{Results: make([]ItemResult, len(req.Items))}
-	items := make([]ssta.BatchItem, 0, len(req.Items))
-	batchIdx := make([]int, 0, len(req.Items)) // batch position -> request position
-	for k := range req.Items {
-		item, err := ssta.BatchItem{}, ctx.Err() // stop preparing once the deadline fires
-		if err == nil {
-			item, err = s.prepareItem(ctx, &req.Items[k])
-		}
-		if err != nil {
-			name := req.Items[k].Name
-			if name == "" {
-				name = fmt.Sprintf("item[%d]", k)
-			}
-			resp.Results[k] = ItemResult{Name: name, Error: err.Error()}
-			s.metrics.itemsRejected.Add(1)
-			continue
-		}
-		items = append(items, item)
-		batchIdx = append(batchIdx, k)
-	}
-
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	results := s.flow.AnalyzeBatchCtx(ctx, items, ssta.BatchOptions{
-		Workers:     workers,
-		ItemWorkers: req.ItemWorkers,
-		OnItemDone: func(_ int, r *ssta.BatchResult) {
-			// Items the engine cut short on cancellation are rejections,
-			// not latency samples — a deadline burst must not drag the
-			// reported mean toward zero.
-			if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
-				s.metrics.itemsRejected.Add(1)
-				return
-			}
-			s.metrics.observeItem(r.Elapsed, r.Err != nil)
-		},
-	})
-	for b, r := range results {
-		k := batchIdx[b]
-		resp.Results[k] = itemResult(&r)
-		// Extracted models of reproducible graphs (bench/mult) are durable
-		// state: enqueue them for the write-behind store so a restart can
-		// re-seed the extraction cache without paying extraction again.
-		if r.Err == nil && r.Model != nil {
-			spec := &req.Items[k]
-			if spec.Quad == nil && spec.Netlist == "" {
-				s.checkpointModel(graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked}, r.Model)
-			}
-		}
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return resp, nil
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -401,21 +328,56 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.metrics.analyzeRequests.Add(1)
 	// Everything past decode flows through the coalescing/batching front:
 	// identical concurrent requests share one execution; with batching on,
-	// compatible single-item requests merge onto one shared-prep sweep.
+	// compatible single-item requests gather as seats of one execution.
 	fp := requestFingerprint("analyze", &req, nil, 0)
 	s.serveCoalesced(w, r, "analyze", fp, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
-		if s.batch != nil {
-			if key, spec, call, batchable := s.analyzeBatchCall(&req); batchable {
-				return s.batch.do(ctx, key, spec, call)
-			}
-		}
-		resp, err := s.runBatch(ctx, s.admissionWait(ctx), req)
+		resp, err := s.analyze(ctx, true, &req)
 		if err != nil {
-			s.metrics.rejected.Add(1)
-			return http.StatusTooManyRequests, errorBody(http.StatusTooManyRequests, err.Error())
+			return failure(err)
 		}
 		return http.StatusOK, marshalJSON(resp)
 	})
+}
+
+// analyze answers an analyze request: one execution per item, fanned over
+// the request's workers under one analysis slot. Per-item failures —
+// invalid specs and cancellation included — land in the item results; the
+// error is reserved for the request-level admission (or micro-batch
+// expiry) failure.
+func (s *Server) analyze(ctx context.Context, sync bool, req *AnalyzeRequest) (*AnalyzeResponse, error) {
+	start := time.Now()
+	execs := make([]*execution, len(req.Items))
+	for k := range req.Items {
+		spec := &req.Items[k]
+		execs[k] = &execution{
+			subject:     *spec,
+			seats:       []*seat{{name: spec.Name}},
+			itemWorkers: max(req.ItemWorkers, 1),
+			extract:     spec.Extract,
+		}
+	}
+	workers := req.Workers
+	if workers <= 0 {
+		workers = s.cfg.Workers
+	}
+	var err error
+	if sync {
+		err = s.executeSync(ctx, workers, execs...)
+	} else {
+		err = s.execute(ctx, false, workers, execs...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp := &AnalyzeResponse{Results: make([]ItemResult, len(execs))}
+	for k, ex := range execs {
+		resp.Results[k] = ex.itemResult()
+		if resp.Results[k].Name == "" {
+			resp.Results[k].Name = fmt.Sprintf("item[%d]", k)
+		}
+	}
+	resp.ElapsedMS = millis(time.Since(start))
+	return resp, nil
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {

@@ -507,3 +507,41 @@ func TestQueuedCancelReclaimsCapacity(t *testing.T) {
 		t.Fatalf("pop returned %+v, want job %s (cancelled job must not surface)", j, b.id)
 	}
 }
+
+// TestExecutionPanicAnswersSeats: a panic inside an execution — here from
+// a seat's progress hook on a sweep worker — answers every seat of the
+// execution with a 500-class error instead of killing the process, counts
+// the sweep seat as an internal error and the analyze seat as a failed
+// item, and frees the analysis slot.
+func TestExecutionPanicAnswersSeats(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	boom := &seat{specs: testSweepSpecs(), onScenario: func(int, *ssta.ScenarioResult) { panic("boom") }}
+	plain := &seat{}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	ex := &execution{subject: ItemSpec{Bench: "c432", Seed: 1}, seats: []*seat{boom, plain}}
+	if err := s.execute(ctx, true, 1, ex); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range ex.seats {
+		if st.err == nil || statusOf(st.err) != http.StatusInternalServerError || !strings.Contains(st.err.Error(), "boom") {
+			t.Fatalf("seat %d: err %v, want a panic answered as 500", i, st.err)
+		}
+	}
+	for name, want := range map[string]float64{
+		"sstad_internal_errors_total": 1,
+		"sstad_items_total":           1,
+		"sstad_item_errors_total":     1,
+	} {
+		if got := metricValue(t, hs.URL, name); got != want {
+			t.Fatalf("%s = %g, want %g", name, got, want)
+		}
+	}
+	if n := s.activeAnalyses(); n != 0 {
+		t.Fatalf("%d analysis slots still held after the panic", n)
+	}
+	// The server keeps serving.
+	if out := analyze(t, hs.URL, AnalyzeRequest{Items: []ItemSpec{{Bench: "c432", Seed: 1}}}); out.Results[0].Error != "" {
+		t.Fatalf("analyze after panic: %s", out.Results[0].Error)
+	}
+}

@@ -381,7 +381,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, "session table full")
 		return
 	}
-	ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
+	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 	// The full initial analysis holds an analysis slot like any other work.
 	if !s.acquireSlot(ctx, w) {
@@ -391,8 +391,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	sess, name, err := s.buildSession(ctx, &req.ItemSpec)
+	if err == nil && len(req.Scenarios) > 0 {
+		err = s.installSessionSweep(ctx, sess, req.Scenarios)
+	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCut(err) {
 			s.metrics.itemsRejected.Add(1)
 			httpError(w, http.StatusRequestTimeout, err.Error())
 			return
@@ -400,18 +403,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(req.Scenarios) > 0 {
-		if err := s.installSessionSweep(ctx, sess, req.Scenarios); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.metrics.itemsRejected.Add(1)
-				httpError(w, http.StatusRequestTimeout, err.Error())
-				return
-			}
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 	}
 	var reg *srvSession
 	if id := r.Header.Get(sessionIDHeader); id != "" && validSessionID(id) {
@@ -450,7 +441,7 @@ func (s *Server) installSessionSweep(ctx context.Context, sess *ssta.Session, sp
 		}
 		scens[i] = sc
 	}
-	opt := ssta.SweepOptions{Workers: s.cfg.Workers, OnScenarioDone: s.scenarioMetricsHook()}
+	opt := ssta.SweepOptions{Workers: s.cfg.Workers, OnScenarioDone: s.metrics.observeScenario}
 	_, err := sess.SetSweep(ctx, scens, opt)
 	return err
 }
@@ -460,64 +451,17 @@ func (s *Server) installSessionSweep(ctx context.Context, sess *ssta.Session, sp
 // come from the design cache (the session copies their structure), so the
 // expensive artifacts — built graphs, extracted models — stay shared.
 func (s *Server) buildSession(ctx context.Context, spec *ItemSpec) (*ssta.Session, string, error) {
-	set := spec.inputs()
-	if len(set) != 1 {
-		return nil, "", fmt.Errorf("session needs exactly one input of bench, netlist, mult or quad (got %d)", len(set))
-	}
-	mode, err := parseMode(spec.Mode)
+	sub, err := s.resolve(ctx, spec)
 	if err != nil {
 		return nil, "", err
 	}
-	name := spec.Name
-	switch {
-	case spec.Quad != nil:
-		if spec.Clocked {
-			return nil, "", fmt.Errorf("clocked applies to bench, netlist or mult items only")
-		}
-		d, err := s.quadDesign(ctx, spec.Quad)
-		if err != nil {
-			return nil, "", err
-		}
-		s.checkpointPrep(spec.Quad, mode)
-		if name == "" {
-			name = d.Name
-		}
-		sess, err := s.flow.NewDesignSession(ctx, d, mode, ssta.AnalyzeOptions{Workers: s.cfg.Workers})
-		return sess, name, err
-	case spec.Netlist != "":
-		c, err := ssta.ParseBench(spec.Name, strings.NewReader(spec.Netlist))
-		if err != nil {
-			return nil, "", fmt.Errorf("netlist: %w", err)
-		}
-		if spec.Clocked {
-			if c, err = ssta.Clocked(c); err != nil {
-				return nil, "", fmt.Errorf("netlist: %w", err)
-			}
-		}
-		g, _, err := s.flow.Graph(c)
-		if err != nil {
-			return nil, "", err
-		}
-		if name == "" {
-			name = c.Name
-		}
-		sess, err := s.flow.NewGraphSession(ctx, g)
-		return sess, name, err
-	default:
-		g, err := s.cachedGraph(ctx, graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked})
-		if err != nil {
-			return nil, "", err
-		}
-		if name == "" {
-			if spec.Bench != "" {
-				name = spec.Bench
-			} else {
-				name = fmt.Sprintf("mult%d", spec.Mult)
-			}
-		}
-		sess, err := s.flow.NewGraphSession(ctx, g)
-		return sess, name, err
+	var sess *ssta.Session
+	if sub.design != nil {
+		sess, err = s.flow.NewDesignSession(ctx, sub.design, sub.mode, ssta.AnalyzeOptions{Workers: s.cfg.Workers})
+	} else {
+		sess, err = s.flow.NewGraphSession(ctx, sub.graph)
 	}
+	return sess, sub.name, err
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -575,7 +519,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request has %d edits, limit %d", len(req.Edits), s.cfg.MaxItems))
 		return
 	}
-	ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
+	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 
 	// Take the analysis slot before converting edits: swap_module
@@ -592,7 +536,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 	for k := range req.Edits {
 		e, err := s.convertEdit(ctx, &req.Edits[k])
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCut(err) {
 				s.metrics.itemsRejected.Add(1)
 				httpError(w, http.StatusRequestTimeout, fmt.Sprintf("edit %d: %v", k, err))
 				return
@@ -718,7 +662,7 @@ func (s *Server) streamEditApply(w http.ResponseWriter, fl http.Flusher, ctx con
 // rebuild — server-side faults) to 500, and everything else — edit
 // validation — to 400.
 func applyErrorStatus(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCut(err) {
 		return http.StatusRequestTimeout
 	}
 	var re *ssta.ReanalysisError
@@ -765,18 +709,14 @@ func (s *Server) convertEdit(ctx context.Context, e *EditSpec) (ssta.Edit, error
 	}
 }
 
-// acquireSlot takes an analysis slot under ctx, writing the 429 itself on
-// failure and reporting whether the caller may proceed.
+// acquireSlot takes an analysis slot for a session request, writing the
+// 429 itself on failure and reporting whether the caller may proceed.
+// Session work waits for its slot under its whole deadline.
 func (s *Server) acquireSlot(ctx context.Context, w http.ResponseWriter) bool {
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		s.metrics.rejected.Add(1)
+	if err := s.admit(ctx, false); err != nil {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, fmt.Sprintf("no analysis slot: %v", ctx.Err()))
+		httpError(w, http.StatusTooManyRequests, err.Error())
 		return false
 	}
+	return true
 }
-
-func (s *Server) releaseSlot() { <-s.sem }

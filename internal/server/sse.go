@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/ssta"
 )
@@ -96,66 +95,45 @@ func (s *Server) trackStream(cancel context.CancelFunc) (release func()) {
 // streamSweep is the SSE arm of POST /v1/sweep: one `scenario` event per
 // finished scenario (completion order), then one `summary` event carrying
 // the exact synchronous SweepResponse.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, specs []SweepScenarioSpec) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		// Transport cannot flush incrementally; serve the sync answer.
-		ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
-		defer cancel()
-		status, body := s.doSweep(ctx, req, specs)
-		writeRaw(w, status, body)
-		return
-	}
-	ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, fl http.Flusher, req *SweepRequest, specs []SweepScenarioSpec) {
+	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 	release := s.trackStream(cancel)
 	defer release()
 
-	// Admission and validation run before the stream opens, so their
-	// failures keep real status codes.
-	if err := s.acquireSlotWait(ctx, 0); err != nil {
-		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	}
-	defer s.releaseSlot()
-	pr, status, body := s.prepSweep(ctx, req, specs)
-	if pr == nil {
-		writeRaw(w, status, body)
-		return
-	}
-
-	sse := &sseWriter{w: w, fl: fl}
-	sse.start()
-
-	// The engine's hook runs on sweep worker goroutines; the response
-	// writer is not concurrency-safe, so events cross a channel sized to
-	// the scenario count — the hook can never block on a slow client.
-	metricsHook := s.scenarioMetricsHook()
-	events := make(chan SweepScenarioEvent, len(pr.scens))
-	opt := ssta.SweepOptions{
-		Workers: pr.workers,
-		TopK:    req.TopK,
-		OnScenarioDone: func(i int, res *ssta.ScenarioResult) {
-			metricsHook(i, res)
-			events <- SweepScenarioEvent{Index: i, SweepScenarioResult: sweepScenarioView(res)}
-		},
-	}
-	start := time.Now()
-	var rep *ssta.SweepReport
-	var runErr error
+	// The seat's hook runs on sweep worker goroutines; the response writer
+	// is not concurrency-safe, so events cross a channel sized to the
+	// scenario count — the hook can never block on a slow client.
+	events := make(chan SweepScenarioEvent, len(specs))
+	st := &seat{name: req.Name, specs: specs, topK: req.TopK,
+		onScenario: func(k int, res *ssta.ScenarioResult) {
+			events <- SweepScenarioEvent{Index: k, SweepScenarioResult: sweepScenarioView(res)}
+		}}
+	var err error
 	go func() {
 		defer close(events)
-		rep, runErr = s.runSweep(ctx, pr, opt)
+		if err = s.execute(ctx, true, 1, sweepExecution(req, st)); err == nil {
+			err = st.err
+		}
 	}()
+
+	// The stream opens with the first event, so admission and validation
+	// failures — raised before any scenario runs — keep real status codes.
+	var sse *sseWriter
 	for ev := range events {
+		if sse == nil {
+			sse = &sseWriter{w: w, fl: fl}
+			sse.start()
+		}
 		sse.event("scenario", ev)
 	}
-	if runErr != nil {
-		status, _ := s.sweepFailure(runErr, runErr.Error())
-		sse.eventError(status, runErr.Error())
-		return
+	switch {
+	case sse == nil: // failed before any scenario ran
+		status, body := failure(err)
+		writeRaw(w, status, body)
+	case err != nil:
+		sse.eventError(statusOf(err), err.Error())
+	default:
+		sse.event("summary", sweepResponseView(st.name, st.rep, millis(st.rep.Elapsed)))
 	}
-	sse.event("summary", sweepResponseView(pr.name, rep, float64(time.Since(start).Microseconds())/1000))
 }

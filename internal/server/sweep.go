@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	"repro/ssta"
 )
@@ -14,10 +11,10 @@ import (
 // This file is the MCMM surface of the daemon: POST /v1/sweep evaluates
 // many scenarios against one item with shared prep (one graph build or one
 // design partition/PCA/stitch, then one propagation per scenario over a
-// rescaled delay bank). The request holds one analysis slot for the whole
-// sweep, like any other analysis; per-scenario failures — including a
-// deadline firing mid-sweep — land in the per-scenario results, so the
-// response always accounts for every scenario.
+// rescaled delay bank). The sweep is one execution (see execute.go) holding
+// one analysis slot, like any other analysis; per-scenario failures —
+// including a deadline firing mid-sweep — land in the per-scenario
+// results, so the response always accounts for every scenario.
 
 // SweepRequest is the body of POST /v1/sweep: one item (same vocabulary as
 // /v1/analyze — exactly one of bench, netlist, mult, quad) plus the
@@ -157,121 +154,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.sweepRequests.Add(1)
 	if wantsEventStream(r) {
-		s.streamSweep(w, r, &req, specs)
-		return
+		// A transport that cannot flush incrementally gets the sync answer.
+		if fl, ok := w.(http.Flusher); ok {
+			s.streamSweep(w, r, fl, &req, specs)
+			return
+		}
 	}
 	fp := requestFingerprint("sweep",
 		&AnalyzeRequest{Items: []ItemSpec{req.ItemSpec}, Workers: req.Workers, TimeoutMS: req.TimeoutMS},
 		specs, req.TopK)
 	s.serveCoalesced(w, r, "sweep", fp, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
-		if s.batch != nil {
-			if key, spec, call, batchable := s.sweepBatchCall(&req, specs); batchable {
-				return s.batch.do(ctx, key, spec, call)
-			}
+		st := &seat{name: req.Name, specs: specs, topK: req.TopK}
+		err := s.executeSync(ctx, 1, sweepExecution(&req, st))
+		if err == nil {
+			err = st.err
 		}
-		return s.doSweep(ctx, &req, specs)
+		if err != nil {
+			return failure(err)
+		}
+		return http.StatusOK, marshalJSON(sweepResponseView(st.name, st.rep, millis(st.rep.Elapsed)))
 	})
 }
 
-// sweepFailure classifies a resolve/convert/run failure exactly like every
-// other ctx path in the serving layer: a deadline/cancel is a timeout
-// (408), everything else is validation (400) — and counts it.
-func (s *Server) sweepFailure(err error, msg string) (int, []byte) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.metrics.itemsRejected.Add(1)
-		return http.StatusRequestTimeout, errorBody(http.StatusRequestTimeout, msg)
-	}
-	s.metrics.badRequests.Add(1)
-	return http.StatusBadRequest, errorBody(http.StatusBadRequest, msg)
-}
-
-// sweepPrep is a resolved, validated sweep ready to run: the shared
-// front-door path, the streaming path and the micro-batcher all converge on
-// run().
-type sweepPrep struct {
-	item    ssta.BatchItem
-	name    string
-	isQuad  bool
-	mode    ssta.Mode
-	scens   []ssta.Scenario
-	workers int
-	// spec and specs are the wire-level subject and scenarios, retained so
-	// a clustered coordinator can dispatch shards without re-deriving them
-	// (Server.runSweep); the local path ignores them.
-	spec  ItemSpec
-	specs []SweepScenarioSpec
-}
-
-func (p *sweepPrep) run(ctx context.Context, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
-	if p.isQuad {
-		return ssta.SweepAnalyze(ctx, p.item.Design, p.mode, p.scens, opt)
-	}
-	return ssta.SweepAnalyzeGraph(ctx, p.item.Graph, p.scens, opt)
-}
-
-// prepSweep resolves the subject item and materializes every scenario. On
-// failure the prep is nil and (status, body) carry the classified error.
-func (s *Server) prepSweep(ctx context.Context, req *SweepRequest, specs []SweepScenarioSpec) (*sweepPrep, int, []byte) {
-	item, name, isQuad, mode, err := s.resolveSweepItem(ctx, &req.ItemSpec)
-	if err != nil {
-		status, body := s.sweepFailure(err, err.Error())
-		return nil, status, body
-	}
-	scens := make([]ssta.Scenario, len(specs))
-	for i := range specs {
-		sc, err := s.convertScenario(ctx, &specs[i], isQuad)
-		if err != nil {
-			status, body := s.sweepFailure(err, fmt.Sprintf("scenario %d: %v", i, err))
-			return nil, status, body
-		}
-		scens[i] = sc
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	return &sweepPrep{
-		item: item, name: name, isQuad: isQuad, mode: mode, scens: scens, workers: workers,
-		spec: req.ItemSpec, specs: specs,
-	}, 0, nil
-}
-
-// doSweep is the direct (unbatched) sweep execution: one admission slot
-// covers the whole sweep — scenario materialization (swap extraction) and
-// the propagation fan-out both count as analysis.
-func (s *Server) doSweep(ctx context.Context, req *SweepRequest, specs []SweepScenarioSpec) (int, []byte) {
-	if err := s.acquireSlotWait(ctx, 0); err != nil {
-		s.metrics.rejected.Add(1)
-		return http.StatusTooManyRequests, errorBody(http.StatusTooManyRequests, err.Error())
-	}
-	defer s.releaseSlot()
-
-	pr, status, body := s.prepSweep(ctx, req, specs)
-	if pr == nil {
-		return status, body
-	}
-	opt := ssta.SweepOptions{
-		Workers:        pr.workers,
-		TopK:           req.TopK,
-		OnScenarioDone: s.scenarioMetricsHook(),
-	}
-	start := time.Now()
-	rep, err := s.runSweep(ctx, pr, opt)
-	if err != nil {
-		// A deadline/cancel firing before the per-scenario fan-out (the
-		// shared design stitch runs under ctx) is a timeout, not a bad
-		// request; remaining sweep-level failures are validation (the
-		// scenarios were already normalized above, so this is a bad
-		// item/scenario combo).
-		return s.sweepFailure(err, err.Error())
-	}
-	resp := sweepResponseView(pr.name, rep, float64(time.Since(start).Microseconds())/1000)
-	return http.StatusOK, marshalJSON(resp)
+// sweepExecution is the execution of a sweep request answering one seat.
+func sweepExecution(req *SweepRequest, st *seat) *execution {
+	return &execution{subject: req.ItemSpec, seats: []*seat{st}, workers: req.Workers}
 }
 
 // sweepResponseView flattens a sweep report into the wire response — the
-// one assembly both the direct path and the micro-batcher's per-caller
-// reassembly go through.
+// one assembly every sweep answer (direct, batched, streamed, session)
+// goes through.
 func sweepResponseView(name string, rep *ssta.SweepReport, elapsedMS float64) *SweepResponse {
 	resp := &SweepResponse{
 		Name:      name,
@@ -312,31 +224,4 @@ func sweepScenarioView(res *ssta.ScenarioResult) SweepScenarioResult {
 		out.Hold = slackViewOfStat(res.HoldSlack)
 	}
 	return out
-}
-
-// resolveSweepItem maps the item spec onto the sweep's subject: a cached
-// flat graph (bench/netlist/mult) or a cached quad design.
-func (s *Server) resolveSweepItem(ctx context.Context, spec *ItemSpec) (ssta.BatchItem, string, bool, ssta.Mode, error) {
-	set := spec.inputs()
-	if len(set) != 1 {
-		return ssta.BatchItem{}, "", false, 0, fmt.Errorf("sweep needs exactly one input of bench, netlist, mult or quad (got %s)",
-			strings.Join(set, ", "))
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return ssta.BatchItem{}, "", false, 0, err
-	}
-	item, err := s.prepareItem(ctx, spec)
-	if err != nil {
-		return ssta.BatchItem{}, "", false, 0, err
-	}
-	if item.Circuit != nil {
-		// Netlist items: build the graph here so the sweep sees a *Graph.
-		g, _, err := s.flow.Graph(item.Circuit)
-		if err != nil {
-			return ssta.BatchItem{}, "", false, 0, err
-		}
-		item.Graph, item.Circuit = g, nil
-	}
-	return item, item.Name, item.Design != nil, mode, nil
 }

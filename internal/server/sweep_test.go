@@ -221,7 +221,9 @@ func TestSweepDeadlinePartialAccounting(t *testing.T) {
 }
 
 // TestSweepLoadShedding: with every analysis slot held, /v1/sweep sheds
-// load with 429 instead of queueing past its deadline.
+// load with 429 instead of queueing past its deadline — at half the
+// remaining deadline, like every synchronous request, both plain and
+// streamed (where the 429 arrives as JSON before the stream opens).
 func TestSweepLoadShedding(t *testing.T) {
 	s, hs := newTestServer(t, Config{MaxConcurrent: 1})
 	s.sem <- struct{}{} // hold the only slot
@@ -233,6 +235,31 @@ func TestSweepLoadShedding(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, data)
+	}
+
+	body, _ := json.Marshal(SweepRequest{
+		ItemSpec:  ItemSpec{Bench: "c432", Seed: 1},
+		Scenarios: testSweepSpecs(),
+		TimeoutMS: 2000,
+	})
+	for _, accept := range []string{"application/json", "text/event-stream"} {
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/sweep", strings.NewReader(string(body)))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", accept)
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if d := time.Since(start); d >= 1500*time.Millisecond {
+			t.Fatalf("%s: 429 took %v, want it at half the 2 s deadline", accept, d)
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+			t.Fatalf("%s: status %d content-type %q, want a JSON 429: %s",
+				accept, resp.StatusCode, resp.Header.Get("Content-Type"), data)
+		}
 	}
 }
 
