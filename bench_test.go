@@ -13,6 +13,8 @@
 //	BenchmarkViewSum/ViewMax   — fused flat-view kernels (arena substrate)
 //	BenchmarkArrivalPass/*     — pooled-arena exclusive passes (run with
 //	                             -benchmem: allocs/op must stay O(1))
+//	BenchmarkAnalyzeWarm       — warm hierarchical analysis of the mult16
+//	                             quad (run with -benchmem)
 //
 // The cmd/table1, cmd/fig6 and cmd/fig7 binaries print the corresponding
 // tables/series; these benches measure the runtimes.
@@ -22,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/canon"
@@ -573,10 +576,10 @@ func sweepScenarios() []ssta.Scenario {
 
 // BenchmarkSweep is the MCMM headline: evaluating 8 scenarios against the
 // quad design through SweepAnalyze (one partition/PCA/stitch shared by all
-// scenarios, one bank-rescale + propagation each) versus 8 independent
+// scenarios, one rescaled propagation each) versus 8 independent
 // AnalyzeOpt calls (each re-stitching the design). Both run with the
-// geometry/PCA prep cache warm, so the measured gap is the stitch work the
-// sweep amortizes; speedup is recorded in BENCH_4.json.
+// prep cache warm, so the measured gap is the stitch work the sweep
+// amortizes; speedup is recorded in BENCH_4.json.
 func BenchmarkSweep(b *testing.B) {
 	flow := ssta.DefaultFlow()
 	g, plan, err := flow.BenchGraph("c1355", 1)
@@ -624,6 +627,86 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(scens)), "scenarios")
 	})
+}
+
+// mult16Quad builds the Fig. 7 quad of 16x16 array multipliers from
+// models extracted at the default delta.
+func mult16Quad(tb testing.TB) *ssta.Design {
+	tb.Helper()
+	flow := ssta.DefaultFlow()
+	c, err := ssta.ArrayMultiplier(16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, plan, err := flow.Graph(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model, err := flow.Extract(g, ssta.ExtractOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mod, err := ssta.NewModule("mult16", model, plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := flow.QuadDesign("quad-mult16", mod)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkAnalyzeWarm measures a warm FullCorrelation analysis of the
+// mult16 quad: the prep cache already holds the partition, PCA,
+// replacement matrices and rewritten model edges, so the stitch commits
+// shared forms and the cost is boundary assembly plus one propagation.
+// Run with -benchmem: bytes/op must stay below the instances' rewritten
+// edge footprint (see TestAnalyzeWarmAllocs).
+func BenchmarkAnalyzeWarm(b *testing.B) {
+	d := mult16Quad(b)
+	opt := ssta.AnalyzeOptions{Workers: 1}
+	if _, err := d.AnalyzeOpt(ssta.FullCorrelation, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.AnalyzeOpt(ssta.FullCorrelation, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAnalyzeWarmAllocs: a warm FullCorrelation analysis of the mult16
+// quad reuses the prep's rewritten model edges instead of rewriting them,
+// so it allocates less than those edges' design-space coefficients.
+func TestAnalyzeWarmAllocs(t *testing.T) {
+	d := mult16Quad(t)
+	opt := ssta.AnalyzeOptions{Workers: 1}
+	res, err := d.AnalyzeOpt(ssta.FullCorrelation, opt) // fills the prep cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	footprint := uint64(0)
+	for _, inst := range d.Instances {
+		footprint += uint64(len(inst.Module.Model.Graph.Edges) * res.Space.Dim() * 8)
+	}
+	// Best of ten: the pass arena comes from a sync.Pool, which a garbage
+	// collection (or the race detector) may empty between iterations.
+	best := ^uint64(0)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := d.AnalyzeOpt(ssta.FullCorrelation, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= footprint {
+		t.Fatalf("warm analysis allocated %d bytes, not less than the %d-byte rewritten-edge footprint", best, footprint)
+	}
+	t.Logf("warm analysis: %d bytes allocated, rewritten-edge footprint %d bytes", best, footprint)
 }
 
 // BenchmarkAllPairs measures the all-pairs delay-matrix computation used by

@@ -22,8 +22,9 @@
 //	internal/core       timing-model extraction (criticality filter +
 //	                    merges) and the LRU-bounded extraction cache
 //	internal/hier       hierarchical design-level analysis: heterogeneous
-//	                    grid partition, eq. 19 variable replacement, the
-//	                    cached+parallel stitching engine
+//	                    grid partition, eq. 19 variable replacement, one
+//	                    stitcher over a per-design prep cache that holds
+//	                    the rewritten model edges
 //	internal/scenario   the MCMM sweep engine: named scenario transforms
 //	                    (derates, per-edge-class scales, sigma multipliers,
 //	                    clock period/skew/jitter, module swaps) evaluated
@@ -136,9 +137,11 @@
 // one shared preparation. The invalidation rule falls out of linearity:
 // every rescale knob is linear per canonical-form component, so it shares
 // everything (partition, PCA, replacement matrices, stitched topology,
-// flat delay bank) and costs one in-bank rescale (canon.ScalePartsView)
-// plus one propagation pass per scenario; only a module swap changes
-// structure and pays a private stitch. Reports carry per-scenario
+// flat delay bank) and costs one propagation pass per scenario that
+// rescales each edge delay as it gathers it (timing.Rescale, fused into
+// the add by canon.AddScaledViews) — no scaled delay bank is built; only
+// a module swap changes structure and pays a private stitch, whose prep
+// re-derives only the swapped instances. Reports carry per-scenario
 // mean/sigma/quantiles, the cross-scenario worst-case envelope
 // (component-wise max over statistics — scenarios are alternative worlds,
 // not jointly distributed forms) and a divergence ranking against the
@@ -166,7 +169,7 @@
 //   - Clock knobs are slack-side, not delay-side. A scenario's
 //     ClockPeriodPS/ClockSkewPS/ClockJitterPS enter only the setup/hold
 //     constraint forms (period and skew shift the mean; jitter adds an
-//     independent random component), never the edge-delay bank — so
+//     independent random component), never the edge delays — so
 //     clock-only scenarios keep Scenario.Identity() and share the base
 //     prep AND the base arrival banks, paying just one slack assembly
 //     per register. Setup slack is (T - skew) - setup - latest(D); hold

@@ -165,9 +165,10 @@ func TightnessProbViews(a, b View) float64 {
 // ScalePartsView writes the scenario-scaled image of src into dst: the
 // whole form is scaled by all (the in-bank analogue of Form.Scale), with
 // the Glob, Loc and Rand blocks additionally scaled by glob, loc and rand —
-// the kernel of the MCMM sweep engine's per-scenario delay-bank rescaling
-// (a delay derate composed with per-block sigma multipliers). nGlob is the
-// space's Globals count, fixing the Glob/Loc split. dst may alias src.
+// the reference of the MCMM sweep engine's per-scenario rescale (a delay
+// derate composed with per-block sigma multipliers), which the propagation
+// kernels apply at gather time through AddScaledViews. nGlob is the space's
+// Globals count, fixing the Glob/Loc split. dst may alias src.
 func ScalePartsView(dst, src View, nGlob int, all, glob, loc, rand float64) {
 	dst[0] = src[0] * all
 	kg := all * glob
@@ -185,6 +186,33 @@ func ScalePartsView(dst, src View, nGlob int, all, glob, loc, rand float64) {
 		kr = -kr
 	}
 	dst[n] = src[n] * kr
+}
+
+// AddScaledViews computes a + ScalePartsView(b) into dst in one fused pass,
+// performing exactly the operations of ScalePartsView into a scratch view
+// followed by AddViews, in the same order — the gather-time form of the
+// MCMM sweep's per-scenario rescale, so no scaled delay bank is ever
+// materialized. The explicit float64 conversions keep every product
+// rounded on its own, so no architecture fuses it into the following add.
+// dst may alias a (but not b).
+func AddScaledViews(dst, a, b View, nGlob int, all, glob, loc, rand float64) {
+	dst[0] = a[0] + float64(b[0]*all)
+	kg := all * glob
+	i := 1
+	for ; i <= nGlob; i++ {
+		dst[i] = a[i] + float64(b[i]*kg)
+	}
+	kl := all * loc
+	n := len(dst) - 1
+	for ; i < n; i++ {
+		dst[i] = a[i] + float64(b[i]*kl)
+	}
+	kr := all * rand
+	if kr < 0 {
+		kr = -kr
+	}
+	ra, rb := a[n], float64(b[n]*kr)
+	dst[n] = math.Sqrt(ra*ra + rb*rb)
 }
 
 // MaxViews computes Clark's moment-matched max(a, b) into dst (paper

@@ -224,3 +224,44 @@ func TestViewAccessors(t *testing.T) {
 		t.Fatalf("Std: %g", v.Std())
 	}
 }
+
+// TestAddScaledViewsMatchesScaleThenAdd pins the fused gather-time rescale
+// kernel bit for bit to its two-step reference: ScalePartsView into a
+// scratch view, then AddViews — including a negative all-components factor
+// and dst aliasing a.
+func TestAddScaledViewsMatchesScaleThenAdd(t *testing.T) {
+	space := Space{Globals: 3, Components: 17}
+	rng := rand.New(rand.NewSource(5))
+	bank := NewBank(space, 4)
+	a, b, tmp, want := bank.View(0), bank.View(1), bank.View(2), bank.View(3)
+	got := make(View, space.Stride())
+	fill := func(v View) {
+		for i := range v {
+			v[i] = 10 * rng.NormFloat64()
+		}
+		v[len(v)-1] = math.Abs(v[len(v)-1])
+	}
+	for trial := 0; trial < 500; trial++ {
+		fill(a)
+		fill(b)
+		all, glob, loc, rnd := 0.5+rng.Float64(), 0.5+rng.Float64(), 0.5+rng.Float64(), 0.5+rng.Float64()
+		if trial%7 == 0 {
+			all = -all
+		}
+		ScalePartsView(tmp, b, space.Globals, all, glob, loc, rnd)
+		AddViews(want, a, tmp)
+		AddScaledViews(got, a, b, space.Globals, all, glob, loc, rnd)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d slot %d: fused %v, scale-then-add %v", trial, i, got[i], want[i])
+			}
+		}
+		CopyView(got, a)
+		AddScaledViews(got, got, b, space.Globals, all, glob, loc, rnd)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d slot %d: aliased fused %v, scale-then-add %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

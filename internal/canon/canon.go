@@ -58,6 +58,19 @@ func (s Space) NewForm() *Form {
 	return &Form{Glob: make([]float64, s.Globals), Loc: make([]float64, s.Components)}
 }
 
+// NewForms returns n zero-valued forms of the space backed by one shared
+// coefficient slab: two allocations instead of three per form, for
+// callers that build many long-lived forms at once.
+func (s Space) NewForms(n int) []Form {
+	fs := make([]Form, n)
+	slab := make([]float64, n*s.Dim())
+	for i := range fs {
+		c := slab[i*s.Dim() : (i+1)*s.Dim() : (i+1)*s.Dim()]
+		fs[i].Glob, fs[i].Loc = c[:s.Globals:s.Globals], c[s.Globals:]
+	}
+	return fs
+}
+
 // Const returns a deterministic form with the given nominal value.
 func (s Space) Const(v float64) *Form {
 	f := s.NewForm()

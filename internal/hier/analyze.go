@@ -187,12 +187,12 @@ func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) 
 	return res, nil
 }
 
-// Stitch builds the design's stitched top-level timing graph — through the
-// per-design prep cache, with the per-instance rewriting fanned out over
-// opt.Workers — without running any propagation. It is the shared-prep
-// entry point of the MCMM sweep engine: one stitch, then one propagation
-// per scenario over rescaled delay banks. The returned Result carries the
-// graph, space and partition; its Delay/OutputArrivals are nil.
+// Stitch builds the design's stitched top-level timing graph through the
+// per-design prep cache without running any propagation. It is the
+// shared-prep entry point of the MCMM sweep engine: one stitch, then one
+// propagation per scenario under its gather-time rescale. The returned
+// Result carries the graph, space and partition; its Delay/OutputArrivals
+// are nil.
 func (d *Design) Stitch(ctx context.Context, mode Mode, opt AnalyzeOptions) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -226,76 +226,62 @@ func (d *Design) FlattenOpt(opt AnalyzeOptions) (*timing.Graph, *Partition, erro
 	return res.Graph, res.Partition, nil
 }
 
-// preppedEdge is one instance edge rewritten into the design space,
-// produced on the worker pool and committed to the top graph serially so
-// edge order (and therefore every downstream result) is deterministic.
-type preppedEdge struct {
-	from, to int
-	f        *canon.Form
-	lsens    []float64
-	grid     int
-}
-
-// rewriteEdge maps one instance edge into the design space: the mode's
-// variable replacement (eq. 19 for FullCorrelation, private block placement
-// for GlobalOnly) plus the boundary load/slew scale. It is the composition
-// of rewriteEdgeRaw (the expensive replacement, cacheable per instance
-// because it is independent of the boundary conditions) and scaleEdge (the
-// cheap per-stitch boundary adjustment); scaling after rewriting is
-// bit-identical to the fused computation because every component is scaled
-// elementwise.
-func rewriteEdge(e *timing.Edge, i int, pp *prep, nP int, mgmComps int,
-	extraTo, extraFrom map[int]float64, useOrig bool) (preppedEdge, error) {
-	pe, err := rewriteEdgeRaw(e, i, pp, nP, mgmComps, useOrig)
-	if err != nil {
-		return pe, err
-	}
-	if scale := boundaryScale(e, extraTo, extraFrom); scale != 1 {
-		pe = scaleEdge(pe, scale)
-	}
-	return pe, nil
-}
-
-// rewriteEdgeRaw maps one instance edge into the design space without any
-// boundary scale. The returned edge may be cached and shared; scaleEdge
-// never mutates it.
-func rewriteEdgeRaw(e *timing.Edge, i int, pp *prep, nP int, mgmComps int, useOrig bool) (preppedEdge, error) {
-	f, err := rewriteForm(e.Delay, i, pp, nP, mgmComps)
-	if err != nil {
-		return preppedEdge{}, err
-	}
-	pe := preppedEdge{from: e.From, to: e.To, f: f}
-	if useOrig && pp.part != nil {
-		pe.lsens = e.LSens
-		pe.grid = pp.part.InstStart[i] + e.Grid
-	}
-	return pe, nil
-}
-
-// rewriteForm maps one module-space canonical form (an edge delay or a
-// register constraint) into the design space under the mode's variable
-// replacement.
-func rewriteForm(src *canon.Form, i int, pp *prep, nP int, mgmComps int) (*canon.Form, error) {
-	f := pp.space.NewForm()
-	f.Nominal = src.Nominal
-	copy(f.Glob, src.Glob)
-	f.Rand = src.Rand
+// rewriteInto maps one module-space canonical form (an edge delay or a
+// register constraint) of instance i into the zeroed design-space form dst
+// under the mode's variable replacement: eq. 19 for FullCorrelation,
+// private block placement for GlobalOnly.
+func rewriteInto(dst, src *canon.Form, i int, pp *prep) error {
+	dst.Nominal = src.Nominal
+	copy(dst.Glob, src.Glob)
+	dst.Rand = src.Rand
 	switch pp.mode {
 	case FullCorrelation:
 		// x = A^+ B_n x_t (eq. 19): coefficient vector per
 		// parameter block maps through R^T.
-		for p := 0; p < nP; p++ {
-			s := src.Loc[p*mgmComps : (p+1)*mgmComps]
-			dst, err := pp.repl[i].MulVecT(s)
+		r := pp.repl[i]
+		mc, dc := r.Rows(), pp.part.Grids.Comps
+		for p := 0; p < pp.space.Globals; p++ {
+			v, err := r.MulVecT(src.Loc[p*mc : (p+1)*mc])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			copy(f.Loc[p*pp.part.Grids.Comps:(p+1)*pp.part.Grids.Comps], dst)
+			copy(dst.Loc[p*dc:(p+1)*dc], v)
 		}
 	case GlobalOnly:
-		copy(f.Loc[pp.instLocStart[i]:pp.instLocStart[i+1]], src.Loc)
+		copy(dst.Loc[pp.instLocStart[i]:pp.instLocStart[i+1]], src.Loc)
 	}
-	return f, nil
+	return nil
+}
+
+// rewriteChunkSize is the number of edges one pool task rewrites; small
+// enough to balance unequal instances, large enough to amortize dispatch.
+const rewriteChunkSize = 128
+
+// rewriteEdges rewrites every edge delay of the listed instances' graphs
+// (models, or originals when useOrig) into the design space under pp,
+// without any boundary scale, into out[i] — the expensive, cacheable half
+// of stitching, independent of boundary conditions. Fixed-size edge chunks
+// fan out over the worker pool; each task writes only its own slots.
+func (d *Design) rewriteEdges(ctx context.Context, pp *prep, insts []int, useOrig bool, workers int, out [][]canon.Form) error {
+	type chunk struct{ inst, lo, hi int }
+	var chunks []chunk
+	for _, i := range insts {
+		nE := len(d.instGraph(d.Instances[i], useOrig).Edges)
+		out[i] = pp.space.NewForms(nE)
+		for lo := 0; lo < nE; lo += rewriteChunkSize {
+			chunks = append(chunks, chunk{inst: i, lo: lo, hi: min(lo+rewriteChunkSize, nE)})
+		}
+	}
+	return timing.ParallelForCtx(ctx, len(chunks), workers, func(_ context.Context, c int) error {
+		ch := chunks[c]
+		ig := d.instGraph(d.Instances[ch.inst], useOrig)
+		for k := ch.lo; k < ch.hi; k++ {
+			if err := rewriteInto(&out[ch.inst][k], ig.Edges[k].Delay, ch.inst, pp); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // boundaryScale returns the load/slew adjustment factor for an edge given
@@ -311,30 +297,15 @@ func boundaryScale(e *timing.Edge, extraTo, extraFrom map[int]float64) float64 {
 	return 1
 }
 
-// scaleEdge returns a scaled copy of a raw prepped edge, leaving the input
-// (a potential cache entry) untouched.
-func scaleEdge(pe preppedEdge, scale float64) preppedEdge {
-	out := preppedEdge{from: pe.from, to: pe.to, f: pe.f.Scale(scale), grid: pe.grid}
-	if pe.lsens != nil {
-		out.lsens = make([]float64, len(pe.lsens))
-		for k, v := range pe.lsens {
-			out.lsens[k] = v * scale
-		}
-	}
-	return out
-}
-
-// rewriteChunkSize is the number of edges one pool task rewrites; small
-// enough to balance unequal instances, large enough to amortize dispatch.
-const rewriteChunkSize = 128
-
 // buildTop stitches the instance graphs (models, or originals when useOrig)
-// into one top-level graph in the design space. The geometry prep comes
-// from the design's model cache; the per-instance rewriting and the
-// boundary-condition assembly fan out over opt.Workers goroutines.
+// into one top-level graph in the design space. It is the one stitcher
+// behind Analyze, Stitch, Flatten and Session. The geometry prep, including
+// the FullCorrelation model edges already rewritten into the design space,
+// comes from the design's prep cache; what remains per stitch is the
+// boundary-condition assembly (fanned out over opt.Workers) and the commit.
+// Design net edges are the graph's last len(d.Nets) edges, in net order.
 func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt AnalyzeOptions) (*Result, error) {
-	nP := len(d.Params)
-	pp, err := d.getPrep(ctx, mode, opt)
+	pp, err := d.getPrep(ctx, mode, opt, useOrig)
 	if err != nil {
 		return nil, err
 	}
@@ -348,14 +319,17 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 	}
 	ports := d.portIndexes(useOrig)
 
-	// Count vertices and assign per-instance bases.
+	// Count vertices and edges and assign per-instance vertex bases.
 	base := make([]int, len(d.Instances))
-	total := 0
+	total, nEdges := 0, len(d.Nets)
 	for i, inst := range d.Instances {
+		ig := d.instGraph(inst, useOrig)
 		base[i] = total
-		total += d.instGraph(inst, useOrig).NumVerts
+		total += ig.NumVerts
+		nEdges += len(ig.Edges)
 	}
 	top := timing.NewGraph(space, total, d.Params)
+	top.Edges = make([]timing.Edge, 0, nEdges)
 	if part != nil {
 		top.Grids = part.Grids
 	}
@@ -370,46 +344,44 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		return nil, err
 	}
 
-	// Instance edges, rewritten into the design space on the worker pool.
-	// Work is split into per-instance edge chunks; each task writes only
-	// its own slots, and the serial commit below preserves edge order.
-	prepared := make([][]preppedEdge, len(d.Instances))
-	type chunk struct{ inst, lo, hi int }
-	var chunks []chunk
-	for i, inst := range d.Instances {
-		nE := len(d.instGraph(inst, useOrig).Edges)
-		prepared[i] = make([]preppedEdge, nE)
-		for lo := 0; lo < nE; lo += rewriteChunkSize {
-			hi := lo + rewriteChunkSize
-			if hi > nE {
-				hi = nE
-			}
-			chunks = append(chunks, chunk{inst: i, lo: lo, hi: hi})
+	// Instance edges in the design space: the prep's cached rewrite of the
+	// models, or — for GlobalOnly's block copy and for the original graphs
+	// of a flatten — rewritten here on the worker pool.
+	forms := pp.edges
+	if useOrig || forms == nil {
+		forms = make([][]canon.Form, len(d.Instances))
+		all := make([]int, len(d.Instances))
+		for i := range all {
+			all[i] = i
 		}
-	}
-	err = timing.ParallelForCtx(ctx, len(chunks), opt.Workers, func(_ context.Context, c int) error {
-		ch := chunks[c]
-		i := ch.inst
-		ig := d.instGraph(d.Instances[i], useOrig)
-		mgmComps := d.Instances[i].Module.gridModel().Comps
-		for k := ch.lo; k < ch.hi; k++ {
-			pe, err := rewriteEdge(&ig.Edges[k], i, pp, nP, mgmComps, extraTo[i], extraFrom[i], useOrig)
-			if err != nil {
-				return err
-			}
-			prepared[i][k] = pe
+		if err := d.rewriteEdges(ctx, pp, all, useOrig, opt.Workers, forms); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	edgeBase := make([]int, len(d.Instances))
-	for i := range d.Instances {
+	for i, inst := range d.Instances {
+		ig := d.instGraph(inst, useOrig)
 		edgeBase[i] = len(top.Edges)
-		for k := range prepared[i] {
-			pe := &prepared[i][k]
-			if _, err := top.AddEdge(base[i]+pe.from, base[i]+pe.to, pe.f, pe.lsens, pe.grid); err != nil {
+		for k := range ig.Edges {
+			e := &ig.Edges[k]
+			f, lsens, grid := &forms[i][k], []float64(nil), 0
+			if useOrig && part != nil {
+				lsens, grid = e.LSens, part.InstStart[i]+e.Grid
+			}
+			// The boundary scale makes a scaled copy, never touching the
+			// shared rewrite. Every component scales elementwise, so
+			// scaling after rewriting equals the fused computation.
+			if s := boundaryScale(e, extraTo[i], extraFrom[i]); s != 1 {
+				f = f.Scale(s)
+				if lsens != nil {
+					scaled := make([]float64, len(lsens))
+					for j, v := range lsens {
+						scaled[j] = v * s
+					}
+					lsens = scaled
+				}
+			}
+			if _, err := top.AddEdge(base[i]+e.From, base[i]+e.To, f, lsens, grid); err != nil {
 				return nil, err
 			}
 		}
@@ -424,14 +396,12 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		if !ig.Sequential() {
 			continue
 		}
-		mgmComps := inst.Module.gridModel().Comps
 		for _, r := range ig.Registers {
-			setup, err := rewriteForm(r.Setup, i, pp, nP, mgmComps)
-			if err != nil {
+			setup, hold := space.NewForm(), space.NewForm()
+			if err := rewriteInto(setup, r.Setup, i, pp); err != nil {
 				return nil, err
 			}
-			hold, err := rewriteForm(r.Hold, i, pp, nP, mgmComps)
-			if err != nil {
+			if err := rewriteInto(hold, r.Hold, i, pp); err != nil {
 				return nil, err
 			}
 			q, clkEdge := -1, -1

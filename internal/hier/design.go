@@ -99,18 +99,23 @@ type Design struct {
 	PrimaryInputs  []PortRef
 	PrimaryOutputs []PortRef
 
-	// Cached per-mode analysis prep (partition, PCA, replacement matrices),
-	// keyed by mode and guarded by a design fingerprint so geometry edits
-	// invalidate it. See cache.go.
-	prepMu sync.Mutex
-	preps  map[Mode]*prepSlot
+	// Cached per-mode analysis prep (partition, PCA, replacement matrices,
+	// rewritten model edges), keyed by mode and guarded by a design
+	// fingerprint so geometry edits and module swaps invalidate it;
+	// inherited holds the source design's preps on a CopyStructure copy.
+	// See cache.go.
+	prepMu    sync.Mutex
+	preps     map[Mode]*prepSlot
+	inherited map[Mode]*prepSlot
 }
 
 // CopyStructure returns an independent structural copy of the design for
 // session-style mutation: the instance and net lists are deep copied (so a
 // module swap or net-delay edit cannot leak into the original), while the
-// immutable heavyweights — modules, correlation model, parameters — are
-// shared. The copy starts with an empty prep cache.
+// immutable heavyweights — modules, correlation model, parameters, and the
+// source's computed analysis preps — are shared. The copy's first analysis
+// is a prep-cache hit, and a module swap on it derives its prep from the
+// shared one.
 func (d *Design) CopyStructure() *Design {
 	nd := &Design{
 		Name: d.Name, Width: d.Width, Height: d.Height, Pitch: d.Pitch,
@@ -119,6 +124,7 @@ func (d *Design) CopyStructure() *Design {
 		Nets:           append([]Net(nil), d.Nets...),
 		PrimaryInputs:  append([]PortRef(nil), d.PrimaryInputs...),
 		PrimaryOutputs: append([]PortRef(nil), d.PrimaryOutputs...),
+		inherited:      d.readyPreps(),
 	}
 	for i, inst := range d.Instances {
 		cp := *inst

@@ -2,9 +2,12 @@ package hier
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/circuit"
+	"repro/internal/timing"
 )
 
 var sessionSpec = circuit.TopoSpec{Name: "g90", PIs: 10, POs: 5, Gates: 90, Edges: 190, Depth: 10}
@@ -24,11 +27,7 @@ func sessionDesign(t *testing.T) (*Design, *Module, *Module) {
 
 func sessionDelayDiff(t *testing.T, s *Session, want *Design, mode Mode) float64 {
 	t.Helper()
-	g, err := s.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.MaxDelay()
+	got, err := s.Graph().MaxDelay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +110,6 @@ func TestSessionSwapInterrupted(t *testing.T) {
 	if err := s.SwapModule(ctx, "B", alt); err == nil {
 		t.Fatal("cancelled swap reported success")
 	}
-	if s.Stale() {
-		t.Fatal("failed swap left the session stale")
-	}
 	if s.Design().Instances[1].Module == alt {
 		t.Fatal("failed swap committed the module")
 	}
@@ -157,5 +153,165 @@ func TestSessionSetNetDelay(t *testing.T) {
 	}
 	if diff := sessionDelayDiff(t, s, want, FullCorrelation); diff > 1e-9 {
 		t.Fatalf("restitch lost the net-delay edit (diff %g)", diff)
+	}
+}
+
+// TestSessionSequentialMatchesAnalyze: a session over a clocked design
+// stitches every register and clock root, as Analyze does, so its delay
+// and setup/hold slacks match AnalyzeCtx. (A session-private stitcher
+// used to drop the sequential metadata: no registers, no clock roots, and
+// a nil delay because nothing reached the outputs.)
+func TestSessionSequentialMatchesAnalyze(t *testing.T) {
+	d := twoByTwo(t, buildSeqModule(t, "sm4", 4))
+	clock := timing.ClockSpec{PeriodPS: 800, SkewPS: 10, JitterPS: 5}
+	ctx := context.Background()
+	for _, mode := range []Mode{FullCorrelation, GlobalOnly} {
+		res, err := d.AnalyzeCtx(ctx, mode, AnalyzeOptions{Workers: 1, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(ctx, d.CopyStructure(), mode, AnalyzeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := s.Graph()
+		if len(g.Registers) == 0 || len(g.Registers) != len(res.Graph.Registers) ||
+			len(g.ClockRoots) != len(res.Graph.ClockRoots) {
+			t.Fatalf("mode %v: session top has %d registers / %d clock roots, Analyze %d / %d",
+				mode, len(g.Registers), len(g.ClockRoots), len(res.Graph.Registers), len(res.Graph.ClockRoots))
+		}
+		delay, err := g.MaxDelay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := formsAgree(delay, res.Delay); diff > 1e-9 {
+			t.Fatalf("mode %v: session delay differs from Analyze by %g", mode, diff)
+		}
+		seq, err := g.SequentialSlacks(clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := formsAgree(seq.WorstSetup, res.Sequential.WorstSetup); diff > 1e-9 {
+			t.Fatalf("mode %v: session setup slack differs from Analyze by %g", mode, diff)
+		}
+		if diff := formsAgree(seq.WorstHold, res.Sequential.WorstHold); diff > 1e-9 {
+			t.Fatalf("mode %v: session hold slack differs from Analyze by %g", mode, diff)
+		}
+	}
+}
+
+// sameBits reports whether two forms are bit-identical.
+func sameBits(a, b *canon.Form) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.Nominal, b.Nominal) || !eq(a.Rand, b.Rand) || len(a.Glob) != len(b.Glob) || len(a.Loc) != len(b.Loc) {
+		return false
+	}
+	for i := range a.Glob {
+		if !eq(a.Glob[i], b.Glob[i]) {
+			return false
+		}
+	}
+	for i := range a.Loc {
+		if !eq(a.Loc[i], b.Loc[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSessionEditsLeaveDesignCacheIntact: a session's top graph shares its
+// instance edge forms with the source design's prep cache (the prep a
+// CopyStructure copy inherits). Edits must replace those forms, never
+// write through them: after a net-delay edit, an edge scale on a shared
+// instance edge, a module swap and the swap back, the source design's next
+// analysis is a prep-cache hit and bit-identical to its analysis before
+// the session existed. The swap back reuses the inherited prep instead of
+// re-deriving it.
+func TestSessionEditsLeaveDesignCacheIntact(t *testing.T) {
+	d, mod, alt := sessionDesign(t)
+	ctx := context.Background()
+	ref, err := d.Analyze(FullCorrelation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(ctx, d.CopyStructure(), FullCorrelation, AnalyzeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Graph().Edges[0].Delay != &d.preps[FullCorrelation].p.edges[0][0] {
+		t.Fatal("session top graph does not share the design's cached edge forms")
+	}
+	if err := s.Graph().ScaleEdgeDelay(0, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetNetDelay(0, 35); err != nil {
+		t.Fatal(err)
+	}
+	_, m0 := PrepCacheStats()
+	if err := s.SwapModule(ctx, "B", alt); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SwapModule(ctx, "B", mod); err != nil {
+		t.Fatal(err)
+	}
+	if _, m1 := PrepCacheStats(); m1-m0 != 1 {
+		t.Fatalf("swap and swap back computed %d preps, want 1 (the swap back reuses the inherited prep)", m1-m0)
+	}
+
+	h0, m0 := PrepCacheStats()
+	res, err := d.Analyze(FullCorrelation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1, m1 := PrepCacheStats(); h1 != h0+1 || m1 != m0 {
+		t.Fatalf("source design re-analysis: %d hits, %d misses; want 1 hit, 0 misses", h1-h0, m1-m0)
+	}
+	if !sameBits(res.Delay, ref.Delay) {
+		t.Fatal("session edits changed the source design's delay")
+	}
+	for ei := range ref.Graph.Edges {
+		if !sameBits(res.Graph.Edges[ei].Delay, ref.Graph.Edges[ei].Delay) {
+			t.Fatalf("session edits changed the source design's edge %d", ei)
+		}
+	}
+}
+
+// TestDerivedPrepMatchesColdPrep: a module swap on a CopyStructure copy
+// derives its prep from the inherited one — sharing the partition and every
+// unswapped instance's replacement matrix and rewritten edges, re-deriving
+// only the swapped instance — and the analysis over it is bit-identical to
+// a cold analysis that computes the whole prep from scratch.
+func TestDerivedPrepMatchesColdPrep(t *testing.T) {
+	d, _, alt := sessionDesign(t)
+	if _, err := d.Analyze(FullCorrelation); err != nil {
+		t.Fatal(err)
+	}
+	dd := d.CopyStructure()
+	dd.Instances[1].Module = alt
+	warm, err := dd.Analyze(FullCorrelation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, derived := d.preps[FullCorrelation].p, dd.preps[FullCorrelation].p
+	if derived == base || derived.part != base.part {
+		t.Fatal("the swap did not derive its prep from the inherited one")
+	}
+	for i := range dd.Instances {
+		shared := &derived.edges[i][0] == &base.edges[i][0] && derived.repl[i] == base.repl[i]
+		if shared != (i != 1) {
+			t.Fatalf("instance %d: shares the inherited units = %v, want %v", i, shared, i != 1)
+		}
+	}
+	cold, err := dd.AnalyzeOpt(FullCorrelation, AnalyzeOptions{Workers: 1, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(warm.Delay, cold.Delay) {
+		t.Fatal("derived-prep delay differs from the cold analysis")
+	}
+	for ei := range cold.Graph.Edges {
+		if !sameBits(warm.Graph.Edges[ei].Delay, cold.Graph.Edges[ei].Delay) {
+			t.Fatalf("derived-prep edge %d differs from the cold analysis", ei)
+		}
 	}
 }

@@ -6,9 +6,9 @@
 // Scenario describes one such named transform of a timing graph, and the
 // sweep engine evaluates many scenarios against one shared preparation:
 // the graph is built (or the hierarchical design partitioned, PCA'd and
-// stitched) exactly once, and each scenario only rescales the flat
-// edge-delay bank in place-free fashion (canon.ScalePartsView) and re-runs
-// the propagation kernel over it.
+// stitched) exactly once, and each scenario re-runs the propagation kernel
+// over the shared edge delays, rescaling each delay as the kernel gathers
+// it (canon.AddScaledViews) — no scaled copy of the delays is ever built.
 //
 // Every scenario transform is linear per canonical-form component, so a
 // scenario result is numerically identical (1e-9, in practice bitwise) to
@@ -18,6 +18,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/hier"
@@ -61,8 +62,8 @@ type Scenario struct {
 	// (frequency corners, skew margins, jitter budgets). Zero means unset:
 	// the period defaults to timing.DefaultClockPeriodPS, skew and jitter to
 	// zero. The knobs are pure slack-side parameters — they do not touch the
-	// edge-delay bank, so clock scenarios share the base prep (and the base
-	// bank, when the rescale knobs are identity). Combinational graphs
+	// edge delays, so clock scenarios share the base prep (and propagate
+	// unscaled when the rescale knobs are identity). Combinational graphs
 	// ignore them.
 	ClockPeriodPS float64
 	ClockSkewPS   float64
@@ -125,9 +126,9 @@ func (s *Scenario) ClockSpec() timing.ClockSpec {
 }
 
 // Identity reports whether the scenario leaves the graph untouched (swaps
-// aside) — such scenarios propagate over the shared base bank directly.
+// aside) — such scenarios propagate over the graph's delays unscaled.
 // Clock knobs never break identity: they parameterize only the slack
-// computation, not the delay bank.
+// computation, not the edge delays.
 func (s *Scenario) Identity() bool {
 	return factor(s.Derate) == 1 && factor(s.CellScale) == 1 && factor(s.NetScale) == 1 &&
 		factor(s.GlobSigma) == 1 && factor(s.LocSigma) == 1 && factor(s.RandSigma) == 1 &&
@@ -172,26 +173,51 @@ func (s *Scenario) edgeFactor(ei int, cell bool) float64 {
 	return k
 }
 
-// scaleBank writes the scenario-scaled image of the base delay bank into
-// dst (slot per edge index). Tombstoned edges keep garbage slots — the
-// propagation kernels never read them.
-func (s *Scenario) scaleBank(g *timing.Graph, base, dst *canon.Bank) {
-	nGlob := g.Space.Globals
-	gs, ls, rs := factor(s.GlobSigma), factor(s.LocSigma), factor(s.RandSigma)
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		if e.Removed {
-			continue
-		}
-		k := s.edgeFactor(ei, cellEdge(e))
-		canon.ScalePartsView(dst.View(ei), base.View(ei), nGlob, k, gs, ls, rs)
+// edgeClasses classifies a graph's edges (cellEdge) once, on first use,
+// for every scenario of a sweep that rescales them. Safe for concurrent
+// use by the sweep's scenario workers.
+type edgeClasses struct {
+	g    *timing.Graph
+	once sync.Once
+	cell []bool
+}
+
+// rescale returns the scenario's gather-time rescale of the graph's edge
+// delays, or nil for identity scenarios: one all-components factor per
+// edge (edgeFactor's arithmetic) plus the three sigma block factors.
+func (c *edgeClasses) rescale(s *Scenario) *timing.Rescale {
+	if s.Identity() {
+		return nil
 	}
+	c.once.Do(func() {
+		c.cell = make([]bool, len(c.g.Edges))
+		for ei := range c.g.Edges {
+			c.cell[ei] = cellEdge(&c.g.Edges[ei])
+		}
+	})
+	kCell := factor(s.Derate) * factor(s.CellScale)
+	kNet := factor(s.Derate) * factor(s.NetScale)
+	k := make([]float64, len(c.cell))
+	for ei, cell := range c.cell {
+		if cell {
+			k[ei] = kCell
+		} else {
+			k[ei] = kNet
+		}
+	}
+	for ei, v := range s.EdgeScales {
+		if ei >= 0 && ei < len(k) {
+			k[ei] *= v
+		}
+	}
+	return &timing.Rescale{Edge: k, Glob: factor(s.GlobSigma), Loc: factor(s.LocSigma), Rand: factor(s.RandSigma)}
 }
 
 // TransformForm returns the scenario's image of one edge delay form, using
-// the exact arithmetic of the in-bank kernel (canon.ScalePartsView) so a
-// form-by-form transformed graph reproduces the sweep bit for bit. ei and
-// cell identify the edge for the class and per-edge factors.
+// the exact arithmetic of the gather-time rescale (canon.ScalePartsView,
+// fused into the kernels' add as canon.AddScaledViews) so a form-by-form
+// transformed graph reproduces the sweep bit for bit. ei and cell identify
+// the edge for the class and per-edge factors.
 func (s *Scenario) TransformForm(space canon.Space, ei int, cell bool, f *canon.Form) *canon.Form {
 	k := s.edgeFactor(ei, cell)
 	gs, ls, rs := factor(s.GlobSigma), factor(s.LocSigma), factor(s.RandSigma)
@@ -223,7 +249,7 @@ func (s *Scenario) TransformEdge(space canon.Space, ei int, e *timing.Edge) *can
 // TransformGraph returns an independent clone of g whose edge delays (and
 // structural local sensitivities, so Monte Carlo stays sampleable) are the
 // scenario's image of the originals — the explicit materialization of what
-// the sweep computes via bank rescaling. Used by the differential tests
+// the sweep computes via gather-time rescaling. Used by the differential tests
 // and by sessions that maintain per-scenario incremental state.
 func (s *Scenario) TransformGraph(g *timing.Graph) *timing.Graph {
 	ng := g.Clone()

@@ -193,9 +193,10 @@ func Normalize(scens []Scenario, allowSwaps bool) ([]Scenario, error) {
 }
 
 // SweepGraph evaluates every scenario against one flat timing graph with
-// shared prep: the graph's flat edge-delay bank is built once, and each
-// scenario propagates over a privately rescaled copy (or the base bank
-// itself for identity scenarios) on the shared worker pool. Per-scenario
+// shared prep: the graph's edges are classified once, and each scenario
+// propagates over the graph's own delays, rescaled at gather time by its
+// per-edge factors (no rescale for identity scenarios), on the shared
+// worker pool. Per-scenario
 // failures — including cancellation mid-sweep — land in Result.Err and
 // never abort the rest of the sweep; the returned error is reserved for
 // sweep-level validation.
@@ -212,7 +213,7 @@ func SweepGraph(ctx context.Context, g *timing.Graph, scens []Scenario, opt Opti
 	if _, err := g.Order(); err != nil {
 		return nil, err
 	}
-	base := g.EdgeDelays()
+	classes := &edgeClasses{g: g}
 	results := make([]Result, len(scens))
 	runOne := func(ctx context.Context, i int) {
 		sc := &scens[i]
@@ -220,7 +221,7 @@ func SweepGraph(ctx context.Context, g *timing.Graph, scens []Scenario, opt Opti
 		r.Name = sc.Name
 		r.Shared = true
 		s0 := time.Now()
-		r.Delay, r.Err = runScenario(ctx, g, base, sc, opt.Quantile, r)
+		r.Delay, r.Err = runScenario(ctx, g, classes.rescale(sc), sc, opt.Quantile, r)
 		r.Elapsed = time.Since(s0)
 		if opt.OnScenarioDone != nil {
 			opt.OnScenarioDone(i, r)
@@ -263,19 +264,14 @@ func fillUnrun(ctx context.Context, scens []Scenario, results []Result, opt Opti
 	}
 }
 
-// runScenario rescales the base bank per the scenario and runs one forward
-// pass, folding the output arrivals into the circuit delay. The fold order
-// matches Graph.MaxDelayCtx exactly.
-func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
-	delays := base
-	if !sc.Identity() {
-		bank := canon.NewBank(g.Space, len(g.Edges))
-		sc.scaleBank(g, base, bank)
-		delays = bank
-	}
-	p := g.AcquirePass().WithContext(ctx)
+// runScenario runs one forward pass over the graph's delays under the
+// scenario's gather-time rescale rs (nil: identity), folding the output
+// arrivals into the circuit delay. The fold order matches
+// Graph.MaxDelayCtx exactly.
+func runScenario(ctx context.Context, g *timing.Graph, rs *timing.Rescale, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
+	p := g.AcquirePass().WithContext(ctx).WithRescale(rs)
 	defer p.Release()
-	if err := p.ArrivalsOver(delays, g.LaunchSources()...); err != nil {
+	if err := p.Arrivals(g.LaunchSources()...); err != nil {
 		return nil, err
 	}
 	acc := p.Scratch()
@@ -298,10 +294,10 @@ func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Sce
 	r.Mean, r.Std, r.Quantile = delay.Mean(), delay.Std(), delay.Quantile(q)
 
 	// Sequential graphs additionally report worst setup/hold slack under the
-	// scenario's clock, over the same scaled bank the delay fold read.
+	// scenario's clock, over the same rescaled delays the delay fold read.
 	if g.Sequential() {
 		var err error
-		r.SetupSlack, r.HoldSlack, err = SeqSlackStats(g, delays, sc.ClockSpec(), q)
+		r.SetupSlack, r.HoldSlack, err = SeqSlackStats(g, rs, sc.ClockSpec(), q)
 		if err != nil {
 			return nil, err
 		}
@@ -310,13 +306,13 @@ func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Sce
 }
 
 // SeqSlackStats computes the worst setup/hold slack statistics of a
-// sequential graph under the given clock, reading edge delays from bank
-// (nil: the graph's own delays). q is the high-tail delay quantile of the
+// sequential graph under the given clock, reading edge delays through the
+// rescale rs (nil: the graph's own delays). q is the high-tail delay quantile of the
 // sweep; the slack quantiles are reported at the mirrored low tail — the
 // yield-side margin. The session layer shares this with the sweep engine
 // so incremental sweep refreshes report identical slack statistics.
-func SeqSlackStats(g *timing.Graph, bank *canon.Bank, clock timing.ClockSpec, q float64) (setup, hold *SlackStat, err error) {
-	seq, err := g.SequentialSlacksOver(bank, clock)
+func SeqSlackStats(g *timing.Graph, rs *timing.Rescale, clock timing.ClockSpec, q float64) (setup, hold *SlackStat, err error) {
+	seq, err := g.SequentialSlacksOver(rs, clock)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -335,10 +331,11 @@ func SeqSlackStats(g *timing.Graph, bank *canon.Bank, clock timing.ClockSpec, q 
 // SweepDesign evaluates every scenario against a hierarchical design with
 // shared prep: the design is partitioned, PCA'd and stitched once (through
 // its prep cache), and every swap-free scenario re-propagates the shared
-// top graph over a rescaled delay bank. Scenarios with module swaps stitch
-// a private structural copy of the design (their extraction is assumed
-// pre-paid through the shared ExtractCache) and then run the same rescale
-// path on their own top graph.
+// top graph under its gather-time rescale. Scenarios with module swaps
+// stitch a private structural copy of the design (their extraction is
+// assumed pre-paid through the shared ExtractCache; the copy derives its
+// prep from the design's, re-deriving only the swapped instances) and then
+// run the same rescale path on their own top graph.
 func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Scenario, opt Options) (*Report, error) {
 	if d == nil {
 		return nil, errors.New("scenario: nil design")
@@ -353,7 +350,7 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 	// Shared stitch, skipped when every scenario swaps structure. Its
 	// failure is a sweep-level error: nothing can run without it.
 	var top *timing.Graph
-	var topDelays *canon.Bank
+	var classes *edgeClasses
 	for i := range scens {
 		if len(scens[i].Swaps) == 0 {
 			res, err := d.Stitch(ctx, mode, opt.Analyze)
@@ -361,7 +358,7 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 				return nil, err
 			}
 			top = res.Graph
-			topDelays = top.EdgeDelays()
+			classes = &edgeClasses{g: top}
 			break
 		}
 	}
@@ -374,7 +371,7 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 		s0 := time.Now()
 		if len(sc.Swaps) == 0 {
 			r.Shared = true
-			r.Delay, r.Err = runScenario(ctx, top, topDelays, sc, opt.Quantile, r)
+			r.Delay, r.Err = runScenario(ctx, top, classes.rescale(sc), sc, opt.Quantile, r)
 		} else {
 			r.Delay, r.Err = runSwapScenario(ctx, d, mode, sc, opt, r)
 		}
@@ -416,5 +413,5 @@ func runSwapScenario(ctx context.Context, d *hier.Design, mode hier.Mode, sc *Sc
 	if err != nil {
 		return nil, err
 	}
-	return runScenario(ctx, res.Graph, res.Graph.EdgeDelays(), sc, opt.Quantile, r)
+	return runScenario(ctx, res.Graph, (&edgeClasses{g: res.Graph}).rescale(sc), sc, opt.Quantile, r)
 }

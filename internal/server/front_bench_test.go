@@ -18,10 +18,10 @@ import (
 // compatible requests — single-scenario MCMM sweeps against the same
 // hierarchical quad design, each with a different derate — served
 // per-request versus micro-batched. Per-request, every sweep pays its own
-// design stitch (boundary conditions + per-edge rewrite + propagation;
-// the geometry/PCA prep cache is warm in both arms); batched, the 8
-// callers merge into ONE shared-prep sweep: one stitch, then 8 flat
-// delay-bank rescales + propagation passes. One iteration = all 8
+// design stitch (boundary conditions + edge commit + propagation; the
+// prep cache, rewritten model edges included, is warm in both arms);
+// batched, the 8 callers merge into ONE shared-prep sweep: one stitch,
+// then 8 rescaled propagation passes. One iteration = all 8
 // requests answered.
 func BenchmarkBatchedFront(b *testing.B) {
 	reqs := make([][]byte, 8)

@@ -10,8 +10,8 @@ import (
 
 // This file is the MCMM surface of the daemon: POST /v1/sweep evaluates
 // many scenarios against one item with shared prep (one graph build or one
-// design partition/PCA/stitch, then one propagation per scenario over a
-// rescaled delay bank). The sweep is one execution (see execute.go) holding
+// design partition/PCA/stitch, then one propagation per scenario that
+// rescales the shared edge delays as it gathers them). The sweep is one execution (see execute.go) holding
 // one analysis slot, like any other analysis; per-scenario failures —
 // including a deadline firing mid-sweep — land in the per-scenario
 // results, so the response always accounts for every scenario.

@@ -26,7 +26,12 @@ import (
 // Edge is one delay edge of the timing graph.
 type Edge struct {
 	From, To int
-	Delay    *canon.Form
+	// Delay may be shared: graph clones share it, and a stitched
+	// hierarchical top graph shares it with its design's prep cache and
+	// with every other top graph stitched from that prep. Edits therefore
+	// replace it (SetEdgeDelay and the edits built on it); nothing writes
+	// through it.
+	Delay *canon.Form
 
 	// Ground-truth structural data for Monte Carlo (see package comment).
 	// LSens[p] is the absolute delay sensitivity (ps) to the grid-local part

@@ -48,7 +48,7 @@ type Incremental struct {
 
 	order     []int // snapshot of the graph order the state was built on
 	topoPos   []int // vertex -> position in order
-	sources   []int // arrival sources (graph inputs at last sync)
+	sources   []int // arrival sources (graph launch sources at last sync)
 	sourceSet []bool
 	outputs   []int // required sinks (graph outputs at last sync)
 	outputSet []bool
@@ -114,11 +114,11 @@ func (inc *Incremental) Rebuild(ctx context.Context) error {
 		inc.reach = make([]bool, g.NumVerts)
 		inc.affected = make([]bool, g.NumVerts)
 	}
-	if err := forwardPass(g, inc.arr, inc.reach, g.EdgeDelays(), ctx, inc.sources); err != nil {
+	if err := forwardPass(g, inc.arr, inc.reach, g.flatDelays(), canon.MaxViews, ctx, inc.sources); err != nil {
 		return err
 	}
 	if inc.req != nil {
-		if err := backwardPass(g, inc.req, inc.reqReach, g.EdgeDelays(), ctx, inc.outputs); err != nil {
+		if err := backwardPass(g, inc.req, inc.reqReach, g.flatDelays(), ctx, inc.outputs); err != nil {
 			return err
 		}
 	}
@@ -146,7 +146,7 @@ func (inc *Incremental) EnableRequired(ctx context.Context) error {
 	inc.req = canon.NewBank(g.Space, g.NumVerts+2)
 	inc.reqReach = make([]bool, g.NumVerts)
 	inc.syncIO()
-	if err := backwardPass(g, inc.req, inc.reqReach, g.EdgeDelays(), ctx, inc.outputs); err != nil {
+	if err := backwardPass(g, inc.req, inc.reqReach, g.flatDelays(), ctx, inc.outputs); err != nil {
 		inc.req, inc.reqReach = nil, nil
 		return err
 	}
@@ -180,7 +180,7 @@ func (inc *Incremental) Update(ctx context.Context) (UpdateStats, error) {
 		// both sets recompute to their stored values and terminate the
 		// sweep immediately.
 		fwd = append(fwd, inc.sources...)
-		fwd = append(fwd, g.Inputs...)
+		fwd = append(fwd, g.LaunchSources()...)
 		if inc.req != nil {
 			bwd = append(bwd, inc.outputs...)
 			bwd = append(bwd, g.Outputs...)
@@ -455,7 +455,7 @@ func (inc *Incremental) syncOrder(order []int) {
 
 func (inc *Incremental) syncIO() {
 	g := inc.g
-	inc.sources = exactInts(g.Inputs)
+	inc.sources = exactInts(g.LaunchSources())
 	if inc.sourceSet == nil {
 		inc.sourceSet = make([]bool, g.NumVerts)
 	}

@@ -35,6 +35,9 @@ type Pass struct {
 	// workers > 1 selects the intra-level parallel wavefront kernels; see
 	// WithWorkers. Zero (the AcquirePass default) runs serially.
 	workers int
+	// rs, when set via WithRescale, rescales every edge delay at gather
+	// time.
+	rs *Rescale
 }
 
 // ctxCheckStride is how many vertices a pass processes between context
@@ -163,7 +166,7 @@ func (g *Graph) AcquirePass() *Pass {
 func (p *Pass) Release() {
 	putSlab(p.bank.Data())
 	putMask(p.reach)
-	p.bank, p.reach, p.ctx = nil, nil, nil
+	p.bank, p.reach, p.ctx, p.rs = nil, nil, nil, nil
 }
 
 // Reached reports whether the last pass reached vertex v.
@@ -199,18 +202,73 @@ func (p *Pass) Forms() []*canon.Form {
 	return out
 }
 
-// delaySource decides where a pass reads edge delays from. A graph's first
-// pass reads the pointer forms directly — building the flat bank costs one
-// extra sweep over every edge and only pays off when passes repeat (the
-// all-pairs scheme, criticality, repeated queries). From the second pass on
-// the cached flat bank is used. Both paths perform identical floating-point
-// operations, so the choice never changes results.
-func (p *Pass) delaySource() *canon.Bank {
-	g := p.g
-	if g.passes.Add(1) > 1 || g.hasDelayBank() {
-		return g.EdgeDelays()
+// Rescale is a gather-time linear rescale of a graph's edge delays: the
+// MCMM sweep's per-scenario transform, applied inside the propagation
+// kernels instead of into a materialized delay bank. Edge ei enters the
+// pass exactly as canon.ScalePartsView with factors (Edge[ei], Glob, Loc,
+// Rand) would produce it (canon.AddScaledViews). Edge holds one
+// all-components factor per edge index (tombstoned slots are never read);
+// Glob, Loc and Rand multiply the global, spatially correlated and private
+// random blocks on top. A nil *Rescale is the identity.
+type Rescale struct {
+	Edge            []float64
+	Glob, Loc, Rand float64
+}
+
+// WithRescale makes every subsequent pass read the edge delays through the
+// rescale (nil restores the plain delays) and returns the pass.
+func (p *Pass) WithRescale(rs *Rescale) *Pass {
+	p.rs = rs
+	return p
+}
+
+// edgeDelays is where a propagation kernel reads edge delays from: a flat
+// delay bank, optionally rescaled at gather time, or the edges' pointer
+// forms. All three perform the floating-point operations of a pass over
+// the equivalent materialized bank, so the choice never changes results.
+type edgeDelays struct {
+	edges []Edge
+	bank  *canon.Bank // nil: read edges[ei].Delay
+	rs    *Rescale
+	nGlob int
+}
+
+// flatDelays reads the graph's own cached flat delay bank.
+func (g *Graph) flatDelays() edgeDelays {
+	return edgeDelays{edges: g.Edges, bank: g.EdgeDelays(), nGlob: g.Space.Globals}
+}
+
+// add writes a + delay(ei) into dst; dst may alias a.
+func (d *edgeDelays) add(dst, a canon.View, ei int32) {
+	switch {
+	case d.rs != nil:
+		canon.AddScaledViews(dst, a, d.bank.View(int(ei)), d.nGlob, d.rs.Edge[ei], d.rs.Glob, d.rs.Loc, d.rs.Rand)
+	case d.bank != nil:
+		canon.AddViews(dst, a, d.bank.View(int(ei)))
+	default:
+		canon.AddFormView(dst, a, d.edges[ei].Delay)
 	}
-	return nil
+}
+
+// delays resolves where the pass reads edge delays from. A non-nil bank
+// (the *Over entry points) replaces the graph's own delays. Otherwise a
+// graph's first serial, unscaled pass reads the pointer forms directly —
+// building the flat bank costs one extra sweep over every edge and only
+// pays off when passes repeat (the all-pairs scheme, criticality, repeated
+// queries) — and every other pass reads the cached flat bank.
+func (p *Pass) delays(bank *canon.Bank) (edgeDelays, error) {
+	g := p.g
+	d := edgeDelays{edges: g.Edges, bank: bank, rs: p.rs, nGlob: g.Space.Globals}
+	if bank == nil && (g.passes.Add(1) > 1 || g.hasDelayBank() || p.workers > 1 || p.rs != nil) {
+		d.bank = g.EdgeDelays()
+	}
+	if d.bank != nil && d.bank.Cap() < len(g.Edges) {
+		return d, fmt.Errorf("timing: delay bank has %d slots for %d edges", d.bank.Cap(), len(g.Edges))
+	}
+	if p.rs != nil && len(p.rs.Edge) < len(g.Edges) {
+		return d, fmt.Errorf("timing: rescale has %d edge factors for %d edges", len(p.rs.Edge), len(g.Edges))
+	}
+	return d, nil
 }
 
 func (g *Graph) hasDelayBank() bool {
@@ -224,14 +282,32 @@ func (g *Graph) hasDelayBank() bool {
 // the paper's exclusive propagation ("arrival exclusively from vi",
 // Section IV-B).
 func (p *Pass) Arrivals(sources ...int) error {
-	if p.workers > 1 {
-		delays := p.delaySource()
-		if delays == nil {
-			delays = p.g.EdgeDelays()
-		}
-		return forwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
+	return p.forward(nil, canon.MaxViews, sources)
+}
+
+// ArrivalsOver runs the forward propagation reading edge delays from the
+// given bank instead of the graph's own. The bank must hold one slot per
+// edge index (tombstoned slots are never read) in the graph's space; it is
+// read-only during the pass.
+func (p *Pass) ArrivalsOver(delays *canon.Bank, sources ...int) error {
+	if delays == nil {
+		return errors.New("timing: ArrivalsOver needs a delay bank")
 	}
-	return forwardPass(p.g, p.bank, p.reach, p.delaySource(), p.ctx, sources)
+	return p.forward(delays, canon.MaxViews, sources)
+}
+
+// forward runs the serial or parallel forward kernel over the resolved
+// delay source, folding contributions with fold: the Clark max for latest
+// arrivals, the Clark min for earliest ones.
+func (p *Pass) forward(bank *canon.Bank, fold func(dst, a, b canon.View), sources []int) error {
+	d, err := p.delays(bank)
+	if err != nil {
+		return err
+	}
+	if p.workers > 1 {
+		return forwardPassParallel(p.g, p.bank, p.reach, d, fold, p.ctx, sources, p.workers)
+	}
+	return forwardPass(p.g, p.bank, p.reach, d, fold, p.ctx, sources)
 }
 
 // seedSources resets the reach mask and seeds the given vertices at time
@@ -253,17 +329,16 @@ func seedSources(g *Graph, bank *canon.Bank, reach []bool, seeds []int, kind str
 
 // forwardPass is the serial forward propagation kernel shared by pooled
 // passes and the persistent incremental state: arrivals are written into
-// bank (slot g.NumVerts is scratch) with the per-vertex reach mask. A nil
-// delays bank reads the pointer forms directly (a graph's first pass,
-// before the flat bank is built); both paths perform identical
-// floating-point operations.
+// bank (slot g.NumVerts is scratch) with the per-vertex reach mask, each
+// vertex folding its contributions with fold (canon.MaxViews for latest
+// arrivals, canon.MinViews for the earliest arrivals hold analysis needs).
 //
 // Vertices are visited in level-batched wavefronts when the cached
 // topological order is level-monotone — the same visit sequence as the
 // plain order loop, with the per-level bounds hoisted out of the hot loop —
 // and in plain topological order otherwise, so the contribution order at
 // every vertex is the same either way.
-func forwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int) error {
+func forwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold func(dst, a, b canon.View), ctx context.Context, sources []int) error {
 	lv, err := g.Levels()
 	if err != nil {
 		return err
@@ -280,17 +355,13 @@ func forwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, c
 		av := bank.View(v)
 		for _, ei := range out[v] {
 			to := edges[ei].To
-			if delays != nil {
-				canon.AddViews(scratch, av, delays.View(int(ei)))
-			} else {
-				canon.AddFormView(scratch, av, edges[ei].Delay)
-			}
+			d.add(scratch, av, ei)
 			tv := bank.View(to)
 			if !reach[to] {
 				canon.CopyView(tv, scratch)
 				reach[to] = true
 			} else {
-				canon.MaxViews(tv, tv, scratch)
+				fold(tv, tv, scratch)
 			}
 		}
 	}
@@ -335,10 +406,7 @@ const parallelLevelMin = 4
 // order: addEdge appends to every adjacency list in one global sequence) —
 // so the result is bit-identical to forwardPass regardless of worker count
 // or intra-level scheduling.
-func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
-	}
+func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold func(dst, a, b canon.View), ctx context.Context, sources []int, workers int) error {
 	lv, err := g.Levels()
 	if err != nil {
 		return err
@@ -346,11 +414,6 @@ func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon
 	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
 		return err
 	}
-	stride := g.Space.Stride()
-	slab := takeSlab(workers * stride)
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-
 	gather := func(v int, tmp canon.View) {
 		av := bank.View(v)
 		// At gather time reach[v] is true only for pre-seeded sources, whose
@@ -362,18 +425,30 @@ func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon
 			if !reach[e.From] {
 				continue
 			}
-			canon.AddViews(tmp, bank.View(e.From), delays.View(int(ei)))
+			d.add(tmp, bank.View(e.From), ei)
 			if !reached {
 				canon.CopyView(av, tmp)
 				reached = true
 			} else {
-				canon.MaxViews(av, av, tmp)
+				fold(av, av, tmp)
 			}
 		}
 		reach[v] = reached
 	}
+	return levelsParallel(g, lv, 1, lv.MaxLevel+1, 1, ctx, workers, gather)
+}
 
-	for k := 1; k <= lv.MaxLevel; k++ {
+// levelsParallel runs gather over every vertex of the levels from, from+step,
+// ... up to (excluding) to, fanning each wide level out over workers with
+// per-worker scratch views; narrow levels run serially.
+func levelsParallel(g *Graph, lv *Levels, from, to, step int, ctx context.Context, workers int, gather func(v int, tmp canon.View)) error {
+	if ctx == nil {
+		ctx = context.Background() // ParallelForCtx needs a non-nil parent
+	}
+	slab := takeSlab(workers * g.Space.Stride())
+	defer putSlab(slab)
+	tmps := canon.NewBankOver(g.Space, workers, slab)
+	for k := from; k != to; k += step {
 		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
 		n := len(wave)
 		chunks := workers
@@ -401,36 +476,12 @@ func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon
 	return nil
 }
 
-// ArrivalsOver runs the forward propagation reading edge delays from the
-// given bank instead of the graph's own — the MCMM sweep hook: one shared
-// graph, many scenario-scaled delay banks, each propagated through the same
-// kernel. The bank must hold one slot per edge index (tombstoned slots are
-// never read) in the graph's space; it is read-only during the pass.
-func (p *Pass) ArrivalsOver(delays *canon.Bank, sources ...int) error {
-	if delays == nil {
-		return errors.New("timing: ArrivalsOver needs a delay bank")
-	}
-	if delays.Cap() < len(p.g.Edges) {
-		return fmt.Errorf("timing: delay bank has %d slots for %d edges", delays.Cap(), len(p.g.Edges))
-	}
-	if p.workers > 1 {
-		return forwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
-	}
-	return forwardPass(p.g, p.bank, p.reach, delays, p.ctx, sources)
-}
-
 // RequiredOver mirrors ArrivalsOver for backward propagation.
 func (p *Pass) RequiredOver(delays *canon.Bank, outputs ...int) error {
 	if delays == nil {
 		return errors.New("timing: RequiredOver needs a delay bank")
 	}
-	if delays.Cap() < len(p.g.Edges) {
-		return fmt.Errorf("timing: delay bank has %d slots for %d edges", delays.Cap(), len(p.g.Edges))
-	}
-	if p.workers > 1 {
-		return backwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, outputs, p.workers)
-	}
-	return backwardPass(p.g, p.bank, p.reach, delays, p.ctx, outputs)
+	return p.backward(delays, outputs)
 }
 
 // Required runs a backward propagation into the pass arena: after it, At(v)
@@ -438,14 +489,18 @@ func (p *Pass) RequiredOver(delays *canon.Bank, outputs ...int) error {
 // vertices — the negated required time of the paper's eq. 15 when the
 // required time at the outputs is zero.
 func (p *Pass) Required(outputs ...int) error {
-	if p.workers > 1 {
-		delays := p.delaySource()
-		if delays == nil {
-			delays = p.g.EdgeDelays()
-		}
-		return backwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, outputs, p.workers)
+	return p.backward(nil, outputs)
+}
+
+func (p *Pass) backward(bank *canon.Bank, outputs []int) error {
+	d, err := p.delays(bank)
+	if err != nil {
+		return err
 	}
-	return backwardPass(p.g, p.bank, p.reach, p.delaySource(), p.ctx, outputs)
+	if p.workers > 1 {
+		return backwardPassParallel(p.g, p.bank, p.reach, d, p.ctx, outputs, p.workers)
+	}
+	return backwardPass(p.g, p.bank, p.reach, d, p.ctx, outputs)
 }
 
 // backwardPass is the serial backward propagation kernel shared by pooled
@@ -453,7 +508,7 @@ func (p *Pass) Required(outputs ...int) error {
 // backward kernel is already a per-vertex gather over Out[v], so the
 // wavefront batching changes only the visit grouping, never the
 // contribution order.
-func backwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, outputs []int) error {
+func backwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, ctx context.Context, outputs []int) error {
 	lv, err := g.Levels()
 	if err != nil {
 		return err
@@ -469,11 +524,7 @@ func backwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, 
 			if !reach[to] {
 				continue
 			}
-			if delays != nil {
-				canon.AddViews(scratch, bank.View(to), delays.View(int(ei)))
-			} else {
-				canon.AddFormView(scratch, bank.View(to), g.Edges[ei].Delay)
-			}
+			d.add(scratch, bank.View(to), ei)
 			if !reach[v] {
 				canon.CopyView(vv, scratch)
 				reach[v] = true
@@ -513,10 +564,7 @@ func backwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, 
 // bounded pool. The backward kernel gathers over Out[v] in adjacency order
 // for both the serial and parallel path, so intra-level scheduling cannot
 // change any result bit.
-func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, outputs []int, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
-	}
+func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, ctx context.Context, outputs []int, workers int) error {
 	lv, err := g.Levels()
 	if err != nil {
 		return err
@@ -524,11 +572,6 @@ func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *cano
 	if err := seedSources(g, bank, reach, outputs, "output"); err != nil {
 		return err
 	}
-	stride := g.Space.Stride()
-	slab := takeSlab(workers * stride)
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-
 	gather := func(v int, tmp canon.View) {
 		vv := bank.View(v)
 		reached := reach[v] // pre-seeded outputs hold the zero constant
@@ -537,7 +580,7 @@ func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *cano
 			if !reach[to] {
 				continue
 			}
-			canon.AddViews(tmp, bank.View(to), delays.View(int(ei)))
+			d.add(tmp, bank.View(to), ei)
 			if !reached {
 				canon.CopyView(vv, tmp)
 				reached = true
@@ -547,33 +590,7 @@ func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *cano
 		}
 		reach[v] = reached
 	}
-
-	for k := lv.MaxLevel - 1; k >= 0; k-- {
-		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-		n := len(wave)
-		chunks := workers
-		if n < chunks*parallelLevelMin {
-			if err := stepCtx(ctx, 0); err != nil {
-				return err
-			}
-			tmp := tmps.View(0)
-			for _, vi := range wave {
-				gather(int(vi), tmp)
-			}
-			continue
-		}
-		err := ParallelForCtx(ctx, chunks, chunks, func(_ context.Context, c int) error {
-			tmp := tmps.View(c)
-			for _, vi := range wave[n*c/chunks : n*(c+1)/chunks] {
-				gather(int(vi), tmp)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return levelsParallel(g, lv, lv.MaxLevel-1, -1, -1, ctx, workers, gather)
 }
 
 // ArrivalAll propagates arrival times from all inputs simultaneously (every

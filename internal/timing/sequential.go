@@ -74,10 +74,10 @@ func (g *Graph) SequentialSlacks(clock ClockSpec) (*SeqResult, error) {
 	return g.SequentialSlacksOver(nil, clock)
 }
 
-// SequentialSlacksOver is SequentialSlacks reading edge delays from the
-// given bank instead of the graph's own — the scenario-sweep hook. A nil
-// bank uses the graph's delays.
-func (g *Graph) SequentialSlacksOver(delays *canon.Bank, clock ClockSpec) (*SeqResult, error) {
+// SequentialSlacksOver is SequentialSlacks reading every edge delay through
+// the given gather-time rescale — the scenario-sweep hook. A nil rescale
+// uses the graph's own delays.
+func (g *Graph) SequentialSlacksOver(rs *Rescale, clock ClockSpec) (*SeqResult, error) {
 	if !g.Sequential() {
 		return nil, errors.New("timing: graph has no registers")
 	}
@@ -87,24 +87,15 @@ func (g *Graph) SequentialSlacksOver(delays *canon.Bank, clock ClockSpec) (*SeqR
 	}
 	sources := g.LaunchSources()
 
-	late := g.AcquirePass()
+	late := g.AcquirePass().WithRescale(rs)
 	defer late.Release()
-	early := g.AcquirePass()
+	early := g.AcquirePass().WithRescale(rs)
 	defer early.Release()
-	if delays != nil {
-		if err := late.ArrivalsOver(delays, sources...); err != nil {
-			return nil, err
-		}
-		if err := early.ArrivalsMinOver(delays, sources...); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := late.Arrivals(sources...); err != nil {
-			return nil, err
-		}
-		if err := early.ArrivalsMin(sources...); err != nil {
-			return nil, err
-		}
+	if err := late.Arrivals(sources...); err != nil {
+		return nil, err
+	}
+	if err := early.ArrivalsMin(sources...); err != nil {
+		return nil, err
 	}
 
 	res := &SeqResult{Clock: clock, Regs: make([]RegSlack, 0, len(g.Registers))}

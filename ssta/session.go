@@ -109,7 +109,7 @@ type EditReport struct {
 }
 
 // ReanalysisError marks a failure of the post-edit re-analysis itself —
-// restitch recovery, an incremental update, or a full rebuild — as opposed
+// an incremental update or a full rebuild — as opposed
 // to an edit that failed validation. Callers (the serving layer) use it to
 // tell server-side faults apart from bad client input; it unwraps, so
 // errors.Is still detects cancellation underneath.
@@ -188,10 +188,7 @@ func (f *Flow) NewDesignSession(ctx context.Context, d *Design, mode Mode, opt A
 	if err != nil {
 		return nil, err
 	}
-	g, err := hs.Graph()
-	if err != nil {
-		return nil, err
-	}
+	g := hs.Graph()
 	inc, err := g.NewIncrementalCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -284,14 +281,6 @@ func (s *Session) ApplyObserved(ctx context.Context, edits []Edit, obs func(i in
 	defer s.mu.Unlock()
 	start := time.Now()
 	restitched := false
-	if s.hs != nil && s.hs.Stale() {
-		// A previously interrupted swap left the top graph uncommitted;
-		// recover before touching anything else.
-		if err := s.hs.Restitch(ctx); err != nil {
-			return nil, &ReanalysisError{Err: err}
-		}
-		restitched = true
-	}
 	var applyErr error
 	applied := 0
 	for k := range edits {
@@ -380,9 +369,7 @@ func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error
 		if *restitched {
 			// The restitched top graph already carries the design's nets;
 			// apply against it after re-fetching below.
-			if err := s.syncTop(); err != nil {
-				return err
-			}
+			s.syncTop()
 		}
 		return s.hs.SetNetDelay(e.Net, e.Value)
 	case EditSwapModule:
@@ -393,21 +380,15 @@ func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error
 			return err
 		}
 		*restitched = true
-		return s.syncTop()
+		s.syncTop()
+		return nil
 	default:
 		return fmt.Errorf("unknown edit op %d", int(e.Op))
 	}
 }
 
 // syncTop re-fetches the hier session's (possibly replaced) top graph.
-func (s *Session) syncTop() error {
-	g, err := s.hs.Graph()
-	if err != nil {
-		return err
-	}
-	s.graph = g
-	return nil
-}
+func (s *Session) syncTop() { s.graph = s.hs.Graph() }
 
 // refresh re-syncs the incremental state with the (possibly restitched)
 // graph and folds the new delay. obs, when non-nil, observes per-scenario
@@ -415,9 +396,7 @@ func (s *Session) syncTop() error {
 func (s *Session) refresh(ctx context.Context, restitched bool, obs func(int, *ScenarioResult)) (*EditReport, error) {
 	rep := &EditReport{TotalVerts: s.graph.NumVerts}
 	if restitched {
-		if err := s.syncTop(); err != nil {
-			return rep, err
-		}
+		s.syncTop()
 		rep.TotalVerts = s.graph.NumVerts
 	}
 	// Rebuild on graph identity, not the restitched flag alone: a previous
@@ -500,9 +479,6 @@ func (s *Session) refresh(ctx context.Context, restitched bool, obs func(int, *S
 func (s *Session) EnableCriticality(ctx context.Context, opt CriticalityOptions) (*CriticalityResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hs != nil && s.hs.Stale() {
-		return nil, errors.New("ssta: session graph is stale after an interrupted swap; apply an edit batch to recover first")
-	}
 	if s.inc == nil || s.inc.Graph() != s.graph {
 		return nil, errors.New("ssta: session has no consistent incremental state; apply an edit batch to recover first")
 	}
@@ -764,9 +740,6 @@ func (s *Session) SetSweep(ctx context.Context, scens []Scenario, opt SweepOptio
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hs != nil && s.hs.Stale() {
-		return nil, errors.New("ssta: session graph is stale after an interrupted swap; apply an edit batch to recover first")
-	}
 	st, err := s.buildSweepState(ctx, norm, opt, nil)
 	if err != nil {
 		return nil, err

@@ -305,9 +305,7 @@ func TestSessionRecoversInterruptedRefresh(t *testing.T) {
 	if err := sess.hs.SwapModule(context.Background(), "B", alt); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.syncTop(); err != nil {
-		t.Fatal(err)
-	}
+	sess.syncTop()
 	if sess.inc.Graph() == sess.graph {
 		t.Fatal("fixture did not detach the incremental state from the live graph")
 	}
@@ -495,5 +493,72 @@ func TestSessionsConcurrent(t *testing.T) {
 	}
 	if shared.Delay() == nil {
 		t.Fatal("shared session lost its delay")
+	}
+}
+
+// TestDesignSessionSequentialMatchesAnalyze: a design session over a
+// clocked quad carries every register and clock root of the stitched top
+// graph, so its delay and setup/hold slacks match a one-shot AnalyzeCtx.
+// (The session's private stitcher used to drop them, leaving no registers,
+// no clock roots and no reachable output.)
+func TestDesignSessionSequentialMatchesAnalyze(t *testing.T) {
+	flow := DefaultFlow()
+	comb, err := ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Clocked(comb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, plan, err := flow.Graph(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := flow.Extract(g, ExtractOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := NewModule("sm4", model, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := flow.QuadDesign("quad-sm4", mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	clock := ClockSpec{PeriodPS: 800, SkewPS: 10, JitterPS: 5}
+	res, err := d.AnalyzeCtx(ctx, FullCorrelation, AnalyzeOptions{Workers: 1, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sequential == nil {
+		t.Fatal("clocked quad produced no setup/hold analysis")
+	}
+	sess, err := flow.NewDesignSession(ctx, d, FullCorrelation, AnalyzeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := sess.Graph()
+	if len(top.Registers) != len(res.Graph.Registers) || len(top.ClockRoots) != len(res.Graph.ClockRoots) {
+		t.Fatalf("session top has %d registers / %d clock roots, Analyze %d / %d",
+			len(top.Registers), len(top.ClockRoots), len(res.Graph.Registers), len(res.Graph.ClockRoots))
+	}
+	if sess.Delay() == nil {
+		t.Fatal("session of a clocked design has no delay")
+	}
+	if diff := sessionFormDiff(sess.Delay(), res.Delay); diff > 1e-9 {
+		t.Fatalf("session delay differs from Analyze by %g", diff)
+	}
+	seq, err := top.SequentialSlacks(clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sessionFormDiff(seq.WorstSetup, res.Sequential.WorstSetup); diff > 1e-9 {
+		t.Fatalf("session setup slack differs from Analyze by %g", diff)
+	}
+	if diff := sessionFormDiff(seq.WorstHold, res.Sequential.WorstHold); diff > 1e-9 {
+		t.Fatalf("session hold slack differs from Analyze by %g", diff)
 	}
 }

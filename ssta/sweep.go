@@ -42,8 +42,9 @@ var (
 
 // SweepAnalyze evaluates every scenario against a hierarchical design with
 // shared prep: one partition/PCA/stitch pass (through the design's prep
-// cache) serves all swap-free scenarios, each of which only rescales the
-// stitched graph's flat delay bank and re-runs the propagation kernel.
+// cache) serves all swap-free scenarios, each of which only re-runs the
+// propagation kernel over the stitched graph's delays, rescaling them as
+// it gathers them.
 // Scenarios with module swaps stitch a private structural copy. Results
 // come back per scenario, with failures (including cancellation mid-sweep)
 // recorded per result instead of aborting the sweep.
@@ -52,7 +53,7 @@ func SweepAnalyze(ctx context.Context, d *Design, mode Mode, scens []Scenario, o
 }
 
 // SweepAnalyzeGraph is SweepAnalyze for a flat timing graph: the graph and
-// its flat edge-delay bank are the shared prep.
+// its edge delays are the shared prep.
 func SweepAnalyzeGraph(ctx context.Context, g *Graph, scens []Scenario, opt SweepOptions) (*SweepReport, error) {
 	return scenario.SweepGraph(ctx, g, scens, opt)
 }
