@@ -15,6 +15,7 @@
 //	                             -benchmem: allocs/op must stay O(1))
 //	BenchmarkAnalyzeWarm       — warm hierarchical analysis of the mult16
 //	                             quad (run with -benchmem)
+//	BenchmarkGridModel/*       — grid PCA (eq. 2) at 4x4, 16x16, 32x32
 //
 // The cmd/table1, cmd/fig6 and cmd/fig7 binaries print the corresponding
 // tables/series; these benches measure the runtimes.
@@ -30,6 +31,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/mc"
+	"repro/internal/variation"
 	"repro/ssta"
 )
 
@@ -718,5 +720,24 @@ func BenchmarkAllPairs(b *testing.B) {
 		if _, err := g.AllPairsDelays(0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGridModel measures the grid PCA behind every Flow.Graph, model
+// load and cold hierarchical prep (paper eq. 2): the correlation matrix
+// plus its eigendecomposition. 16x16 is the mult64 grid, 32x32 mult128's.
+func BenchmarkGridModel(b *testing.B) {
+	corr, err := variation.DefaultCorrelation()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{4, 16, 32} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := variation.NewGridModel(n, n, 10, corr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -356,6 +356,56 @@ func TestFaultDialerDropAndTear(t *testing.T) {
 	}
 }
 
+// TestFaultDialerMethodSchedule: with Method set, only request frames
+// calling that method count, across connections, so the fault lands on
+// the first "job" call however many pings precede it, and the next
+// connection's call runs clean.
+func TestFaultDialerMethodSchedule(t *testing.T) {
+	svc := pingSvc()
+	svc["job"] = func(ctx context.Context, req *Request) ([]byte, error) {
+		return []byte("ok"), nil
+	}
+	addr, _ := startWorker(t, svc)
+	base := func(ctx context.Context, a string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", a)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, cfg := range []FaultConfig{
+		{TearAtWrite: 1, Method: "job"},
+		{DropAfterWrites: 1, Method: "job"},
+	} {
+		fd := NewFaultDialer(base, cfg)
+		nc, err := fd.Dial(ctx, addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c := NewConn(context.Background(), nc, nil)
+		for i := 0; i < 3; i++ {
+			if _, err := c.Call(ctx, PingMethod, nil, nil); err != nil {
+				t.Fatalf("%+v: ping %d faulted: %v", cfg, i, err)
+			}
+		}
+		if _, err := c.Call(ctx, "job", []byte("x"), nil); err == nil {
+			t.Fatalf("%+v: first job call survived its fault", cfg)
+		}
+		c.Close()
+		nc2, err := fd.Dial(ctx, addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c2 := NewConn(context.Background(), nc2, nil)
+		if _, err := c2.Call(ctx, "job", []byte("x"), nil); err != nil {
+			t.Fatalf("%+v: second job call faulted: %v", cfg, err)
+		}
+		if _, err := c2.Call(ctx, "job", []byte("x"), nil); err != nil {
+			t.Fatalf("%+v: third job call faulted: %v", cfg, err)
+		}
+		c2.Close()
+	}
+}
+
 func TestPickSkipsUnhealthyDeterministically(t *testing.T) {
 	p := NewPool(PoolConfig{Addrs: []string{"a:1", "b:1", "c:1"}})
 	for _, n := range p.nodes {

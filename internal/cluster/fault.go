@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"sync"
@@ -20,6 +21,12 @@ type FaultConfig struct {
 	// TearAtWrite truncates the Nth frame write halfway and then closes
 	// the connection, producing a torn frame at the peer. Zero disables.
 	TearAtWrite int
+	// Method, when set, makes DropAfterWrites and TearAtWrite count only
+	// request frames calling Method, across every connection the dialer
+	// opens, and fault only the Nth such frame. A schedule then names one
+	// call (say, the first shard dispatch) however many health pings or
+	// other frames precede it, and a retry's fresh connection runs clean.
+	Method string
 	// WriteLatency delays every frame write.
 	WriteLatency time.Duration
 	// FailDials makes subsequent dials fail outright.
@@ -32,10 +39,11 @@ type FaultConfig struct {
 type FaultDialer struct {
 	inner DialFunc
 
-	mu     sync.Mutex
-	cfg    FaultConfig
-	dials  int
-	writes int // total frame writes across connections, for assertions
+	mu      sync.Mutex
+	cfg     FaultConfig
+	dials   int
+	writes  int // total frame writes across connections, for assertions
+	matched int // request frames calling cfg.Method, across connections
 }
 
 // NewFaultDialer wraps inner with fault injection.
@@ -43,10 +51,12 @@ func NewFaultDialer(inner DialFunc, cfg FaultConfig) *FaultDialer {
 	return &FaultDialer{inner: inner, cfg: cfg}
 }
 
-// SetConfig swaps the fault schedule for connections dialed from now on.
+// SetConfig swaps the fault schedule for connections dialed from now on
+// and restarts the Method frame count.
 func (f *FaultDialer) SetConfig(cfg FaultConfig) {
 	f.mu.Lock()
 	f.cfg = cfg
+	f.matched = 0
 	f.mu.Unlock()
 }
 
@@ -95,14 +105,27 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	c.dialer.writes++
 	c.dialer.mu.Unlock()
 
-	if c.cfg.TearAtWrite > 0 && w == c.cfg.TearAtWrite {
+	tear := c.cfg.TearAtWrite > 0 && w == c.cfg.TearAtWrite
+	drop := c.cfg.DropAfterWrites > 0 && w >= c.cfg.DropAfterWrites
+	if c.cfg.Method != "" {
+		tear, drop = false, false
+		if h, _, err := readFrame(bytes.NewReader(b)); err == nil && h.Type == frameRequest && h.Method == c.cfg.Method {
+			c.dialer.mu.Lock()
+			c.dialer.matched++
+			m := c.dialer.matched
+			c.dialer.mu.Unlock()
+			tear = m == c.cfg.TearAtWrite
+			drop = m == c.cfg.DropAfterWrites
+		}
+	}
+	if tear {
 		half := len(b) / 2
 		n, _ := c.Conn.Write(b[:half])
 		c.Conn.Close()
 		return n, net.ErrClosed
 	}
 	n, err := c.Conn.Write(b)
-	if err == nil && c.cfg.DropAfterWrites > 0 && w >= c.cfg.DropAfterWrites {
+	if err == nil && drop {
 		c.Conn.Close()
 	}
 	return n, err

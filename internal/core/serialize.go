@@ -36,8 +36,11 @@ type modelJSON struct {
 
 // gridJSON carries the module's grid geometry and correlation setup so a
 // loaded model is self-contained: the design-level variable replacement
-// (paper eq. 19) needs the module PCA, which is rebuilt deterministically
-// from these values.
+// (paper eq. 19) needs the module PCA, which ReadJSON rebuilds from these
+// values with mat.EigenSym. The edges' loc coefficients are only meaningful
+// in the basis that solver returns: inside a repeated eigenvalue (common on
+// symmetric grids) another solver picks another basis, so a change of
+// solver is a change of modelFormatVersion.
 type gridJSON struct {
 	NX          int     `json:"nx"`
 	NY          int     `json:"ny"`
@@ -71,7 +74,10 @@ type statsJSON struct {
 	VertsModel int `json:"verts_model"`
 }
 
-const modelFormatVersion = 1
+// modelFormatVersion 2: loc coefficients are in the PCA basis of the
+// tridiagonal QL eigensolver. Version 1 models used the cyclic Jacobi basis
+// and are refused rather than silently mis-correlated.
+const modelFormatVersion = 2
 
 // WriteJSON serializes the model.
 func (m *Model) WriteJSON(w io.Writer) error {

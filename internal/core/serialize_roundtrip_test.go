@@ -31,7 +31,7 @@ func TestJSONModelSelfContained(t *testing.T) {
 			back.Graph.Grids.N(), back.Graph.Grids.Comps, g.Grids.N(), g.Grids.Comps)
 	}
 	// The rebuilt PCA must be bitwise-deterministic: same correlation
-	// inputs, same Jacobi code path.
+	// inputs, same eigensolver code path.
 	for i := 0; i < g.Grids.N(); i++ {
 		a := g.Grids.A.Row(i)
 		b := back.Graph.Grids.A.Row(i)

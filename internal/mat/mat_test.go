@@ -289,7 +289,7 @@ func TestMaxAbsDiffShapeMismatch(t *testing.T) {
 	}
 }
 
-// Property: for any PSD matrix, the Jacobi decomposition reconstructs it and
+// Property: for any PSD matrix, the eigendecomposition reconstructs it and
 // the eigenvector matrix is orthogonal.
 func TestEigenSymPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {

@@ -452,11 +452,11 @@ func TestClusterTransportFaults(t *testing.T) {
 		name string
 		cfg  cluster.FaultConfig
 	}{
-		// Write 1 on the pool conn is the health-check ping; write 2 is the
-		// first shard dispatch. Dropping or tearing it kills that RPC; the
-		// retry dials a clean connection (per-connection fault counters).
-		{"dropped", cluster.FaultConfig{DropAfterWrites: 2}},
-		{"torn", cluster.FaultConfig{TearAtWrite: 2}},
+		// The fault hits the first shard dispatch, however many health
+		// pings precede it. Dropping or tearing it kills that RPC; the
+		// retry's connection is not faulted again.
+		{"dropped", cluster.FaultConfig{DropAfterWrites: 1, Method: shardMethod}},
+		{"torn", cluster.FaultConfig{TearAtWrite: 1, Method: shardMethod}},
 		{"latent", cluster.FaultConfig{WriteLatency: 30 * time.Millisecond}},
 	}
 	for _, tc := range cases {

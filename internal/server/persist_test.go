@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -395,6 +396,71 @@ func TestWarmStartSeedsModelCache(t *testing.T) {
 	if after.Hits <= before.Hits || after.Misses != before.Misses {
 		t.Fatalf("extraction after warm start was not a pure hit: before %+v, after %+v", before, after)
 	}
+}
+
+// TestWarmStartQuarantinesV1Model: a model checkpoint written before the
+// eigensolver change (model format 1, loc coefficients in the cyclic
+// Jacobi PCA basis) is not seeded: warm start quarantines it, counts it on
+// /metrics, and the next extraction recomputes the model and checkpoints
+// it again in the current format.
+func TestWarmStartQuarantinesV1Model(t *testing.T) {
+	mem := store.NewMem()
+	ctx := context.Background()
+	s1, hs1 := crashableServer(t, Config{Store: mem, StoreFlushInterval: 10 * time.Millisecond})
+	item := ItemSpec{Bench: "c432", Seed: 1, Extract: true}
+	if r := analyze(t, hs1.URL, AnalyzeRequest{Items: []ItemSpec{item}}); r.Results[0].Error != "" {
+		t.Fatalf("extract item failed: %+v", r.Results[0])
+	}
+	mkey, _ := modelKey(graphKey{bench: "c432", seed: 1})
+	waitFor(t, 5*time.Second, "model checkpoint flush", func() bool {
+		_, err := mem.Get(ctx, mkey)
+		return err == nil
+	})
+	s1.crash()
+
+	// Rewrite the checkpoint as a format-1 writer would have sealed it.
+	data, err := mem.Get(ctx, mkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload, err := store.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf(`"format_version":%d,`, h.FormatVersion)
+	if h.FormatVersion != 2 || !strings.Contains(string(payload), cur) {
+		t.Fatalf("model checkpoint is format %d, want 2", h.FormatVersion)
+	}
+	v1 := strings.Replace(string(payload), cur, `"format_version":1,`, 1)
+	if err := mem.Put(ctx, mkey, store.Seal(h.Kind, 1, []byte(v1))); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, hs2 := newTestServer(t, Config{Store: mem, StoreFlushInterval: 10 * time.Millisecond})
+	waitFor(t, 10*time.Second, "warm start", func() bool {
+		return !s2.persist.recovering.Load()
+	})
+	if got := metricValue(t, hs2.URL, "sstad_store_quarantined_total"); got != 1 {
+		t.Fatalf("sstad_store_quarantined_total = %v, want 1", got)
+	}
+	if entries := s2.flow.Cache.Metrics().Entries; entries != 0 {
+		t.Fatalf("v1 model seeded the extraction cache (%d entries)", entries)
+	}
+	before := s2.flow.Cache.Metrics()
+	if r := analyze(t, hs2.URL, AnalyzeRequest{Items: []ItemSpec{item}}); r.Results[0].Error != "" || r.Results[0].ModelVerts == 0 {
+		t.Fatalf("re-extraction after quarantine failed: %+v", r.Results[0])
+	}
+	if after := s2.flow.Cache.Metrics(); after.Misses != before.Misses+1 {
+		t.Fatalf("extraction after quarantine was not a recompute: before %+v, after %+v", before, after)
+	}
+	waitFor(t, 5*time.Second, "re-extracted model checkpoint", func() bool {
+		data, err := mem.Get(ctx, mkey)
+		if err != nil {
+			return false
+		}
+		_, err = ssta.DecodeModelSnapshot(data)
+		return err == nil
+	})
 }
 
 // TestCloseFlushesPendingState: a graceful shutdown flushes checkpoints

@@ -77,8 +77,13 @@ type ParamSnapshot struct {
 }
 
 // GridSnapshot carries the grid geometry and correlation knobs from which
-// the PCA grid model is rebuilt deterministically (same convention as the
-// extracted-model serializer).
+// FromSnapshot rebuilds the PCA grid model. Unlike the extracted-model
+// format, the session format does not depend on which eigenbasis the
+// rebuild returns: forms are derived from the grid model's CoeffRow only in
+// Build, so a restored graph's edges keep the loc coefficients they were
+// saved with, and the rebuilt model only feeds Monte Carlo through the
+// Cholesky factor of its correlation matrix, which has no basis. A change
+// of eigensolver therefore needs no session snapshot version bump.
 type GridSnapshot struct {
 	NX          int     `json:"nx"`
 	NY          int     `json:"ny"`
