@@ -170,16 +170,17 @@ func main() {
 	}
 
 	if *perOutput {
-		arr, err := g.ArrivalAll()
-		fatal(err)
+		p := g.AcquirePass()
+		fatal(p.Arrivals(g.Inputs...))
 		fmt.Printf("\n%-16s %10s %9s\n", "output", "mean(ps)", "std(ps)")
 		for k, o := range g.Outputs {
-			if arr[o] == nil {
+			if !p.Reached(o) {
 				fmt.Printf("%-16s %10s %9s\n", g.OutputNames[k], "unreach", "-")
 				continue
 			}
-			fmt.Printf("%-16s %10.2f %9.2f\n", g.OutputNames[k], arr[o].Mean(), arr[o].Std())
+			fmt.Printf("%-16s %10.2f %9.2f\n", g.OutputNames[k], p.At(o).Nominal(), p.At(o).Std())
 		}
+		p.Release()
 	}
 
 	if *mcIters > 0 {

@@ -162,10 +162,8 @@
 //     earliest arrivals, so timing.Pass grows ArrivalsMin — a
 //     shortest-path pass on canon.MinViews, the Clark dual of MaxViews
 //     (min(A,B) = -max(-A,-B), fused into one moment-matched kernel),
-//     running on the same wavefront schedule as the latest-arrival pass.
-//     Parallel min passes replay the serial contribution order, so the
-//     parallel==serial bit-reproducibility contract carries over
-//     unchanged.
+//     running through the same serial forward kernel as the
+//     latest-arrival pass; only the fold differs.
 //   - Clock knobs are slack-side, not delay-side. A scenario's
 //     ClockPeriodPS/ClockSkewPS/ClockJitterPS enter only the setup/hold
 //     constraint forms (period and skew shift the mean; jitter adds an

@@ -35,14 +35,15 @@ func main() {
 	fmt.Printf("  99%% yield point: %.2f ps\n", delay.Quantile(0.99))
 	fmt.Printf("  3-sigma corner:  %.2f ps\n", delay.Mean()+3*delay.Std())
 
-	// Per-output arrival times.
-	arr, err := g.ArrivalAll()
-	if err != nil {
+	// Per-output arrival times, read straight from a pooled pass arena.
+	p := g.AcquirePass()
+	defer p.Release()
+	if err := p.Arrivals(g.Inputs...); err != nil {
 		log.Fatal(err)
 	}
 	for k, o := range g.Outputs {
 		fmt.Printf("  output %-4s mean %.2f ps, sigma %.2f ps\n",
-			g.OutputNames[k], arr[o].Mean(), arr[o].Std())
+			g.OutputNames[k], p.At(o).Nominal(), p.At(o).Std())
 	}
 
 	// Cross-check against Monte Carlo on the same variation model.

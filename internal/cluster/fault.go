@@ -91,6 +91,22 @@ type faultConn struct {
 
 	mu     sync.Mutex
 	writes int
+	// dropped is set before the dropping frame is written: the peer may
+	// answer that frame before Close lands, and Read must not deliver the
+	// answer of a request whose connection the schedule dropped.
+	dropped bool
+}
+
+// Read fails once the connection is dropped, whatever arrived meanwhile.
+func (c *faultConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	dropped := c.dropped
+	c.mu.Unlock()
+	if dropped {
+		return 0, net.ErrClosed
+	}
+	return n, err
 }
 
 func (c *faultConn) Write(b []byte) (int, error) {
@@ -123,6 +139,11 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		n, _ := c.Conn.Write(b[:half])
 		c.Conn.Close()
 		return n, net.ErrClosed
+	}
+	if drop {
+		c.mu.Lock()
+		c.dropped = true
+		c.mu.Unlock()
 	}
 	n, err := c.Conn.Write(b)
 	if err == nil && drop {

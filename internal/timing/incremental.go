@@ -363,9 +363,9 @@ func (inc *Incremental) sweepBackward(ctx context.Context, delays *canon.Bank, s
 	return recomputed, nil
 }
 
-// recomputeRequired rebuilds one vertex's required time from its fan-out.
-// A full backward pass gathers out-edge contributions in adjacency order
-// already, so no sorting is needed to match it bit for bit.
+// recomputeRequired rebuilds one vertex's required time from its fan-out
+// through the full backward pass's own gather (gatherFanout), so it matches
+// that pass bit for bit.
 func (inc *Incremental) recomputeRequired(v int, delays *canon.Bank, acc, tmp canon.View) bool {
 	g := inc.g
 	reached := false
@@ -373,19 +373,8 @@ func (inc *Incremental) recomputeRequired(v int, delays *canon.Bank, acc, tmp ca
 		acc.SetConst(0)
 		reached = true
 	}
-	for _, ei := range g.Out[v] {
-		e := &g.Edges[ei]
-		if !inc.reqReach[e.To] {
-			continue
-		}
-		canon.AddViews(tmp, inc.req.View(e.To), delays.View(int(ei)))
-		if !reached {
-			canon.CopyView(acc, tmp)
-			reached = true
-		} else {
-			canon.MaxViews(acc, acc, tmp)
-		}
-	}
+	d := edgeDelays{edges: g.Edges, bank: delays, nGlob: g.Space.Globals}
+	reached = gatherFanout(g, inc.req, inc.reqReach, &d, v, acc, tmp, reached)
 	return inc.commit(inc.req.View(v), acc, &inc.reqReach[v], reached)
 }
 

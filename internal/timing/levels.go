@@ -3,12 +3,10 @@ package timing
 import "sync"
 
 // Levels is the cached level structure of an acyclic timing graph: the
-// longest-path level of every vertex, the vertices batched into per-level
-// wavefronts, and a fan-in gather plan. One level structure serves three
-// consumers — the wavefront propagation kernels (propagate.go), the
-// criticality engine's level-cutset construction (internal/core), and the
-// incremental criticality cone analysis — so the ad-hoc level computation
-// each of them used to repeat lives here exactly once.
+// longest-path level of every vertex. The criticality engine's level-cutset
+// construction and the incremental criticality cone analysis
+// (internal/core) both read it, so the level computation lives here once.
+// The propagation kernels do not need it: they walk Graph.Order directly.
 type Levels struct {
 	// Level[v] is the length of the longest edge path ending at v; vertices
 	// without fan-in sit at level 0. Every edge goes from a strictly lower
@@ -17,39 +15,6 @@ type Levels struct {
 	// levels exactly once.
 	Level    []int32
 	MaxLevel int
-
-	// TopoPos[v] is v's position in the topological order the structure was
-	// built on — the contribution-order key of the propagation kernels.
-	TopoPos []int32
-
-	// Wave holds all vertices grouped by level: Wave[Starts[k]:Starts[k+1]]
-	// is level k, in topological order within the level. When the cached
-	// topological order is itself level-monotone (always the case for a
-	// freshly computed Kahn order), Wave is that order element for element
-	// and Monotone reports true: wavefront iteration then replays the serial
-	// pass's contribution order exactly. Order-preserving live edits can
-	// leave a valid cached order that is not level-sorted; the propagation
-	// kernels detect that through Monotone and fall back to plain order
-	// iteration, keeping bit-identity with the incremental engine's stored
-	// forms.
-	Wave     []int32
-	Starts   []int32
-	Monotone bool
-
-	// gather/gatherOff form a CSR plan over the fan-in edge indices of every
-	// vertex, sorted by the topological position of the source vertex
-	// (stable). Folding a vertex's fan-in in this order reproduces, bit for
-	// bit, the contribution order of the push-based serial pass — the same
-	// argument (and the same sort key) as Incremental.sortedFanin — which is
-	// what makes intra-level parallel gathering exact.
-	gather    []int32
-	gatherOff []int32
-}
-
-// FaninSorted returns v's fan-in edge indices sorted by source topological
-// position — the exact contribution order of a full forward pass at v.
-func (lv *Levels) FaninSorted(v int) []int32 {
-	return lv.gather[lv.gatherOff[v]:lv.gatherOff[v+1]]
 }
 
 // levelsCache is the lazily built Levels structure plus the inputs it was
@@ -87,14 +52,8 @@ func (g *Graph) Levels() (*Levels, error) {
 
 // buildLevels computes the level structure for one topological order.
 func buildLevels(g *Graph, order []int) *Levels {
-	n := g.NumVerts
-	lv := &Levels{
-		Level:   make([]int32, n),
-		TopoPos: make([]int32, n),
-	}
-	var maxL int32
-	for pos, v := range order {
-		lv.TopoPos[v] = int32(pos)
+	lv := &Levels{Level: make([]int32, g.NumVerts)}
+	for _, v := range order {
 		var l int32
 		for _, ei := range g.In[v] {
 			if fl := lv.Level[g.Edges[ei].From] + 1; fl > l {
@@ -102,71 +61,8 @@ func buildLevels(g *Graph, order []int) *Levels {
 			}
 		}
 		lv.Level[v] = l
-		if l > maxL {
-			maxL = l
-		}
-	}
-	lv.MaxLevel = int(maxL)
-
-	lv.Monotone = true
-	var prev int32
-	for _, v := range order {
-		if l := lv.Level[v]; l < prev {
-			lv.Monotone = false
-			break
-		} else {
-			prev = l
-		}
-	}
-
-	// Counting sort of the order into per-level waves; iteration in order
-	// keeps the grouping stable, so waves are topologically sorted within a
-	// level even when the order is not globally level-monotone.
-	starts := make([]int32, maxL+2)
-	for _, v := range order {
-		starts[lv.Level[v]+1]++
-	}
-	for k := 1; k < len(starts); k++ {
-		starts[k] += starts[k-1]
-	}
-	lv.Starts = starts
-	lv.Wave = make([]int32, len(order))
-	if lv.Monotone {
-		for i, v := range order {
-			lv.Wave[i] = int32(v)
-		}
-	} else {
-		fill := append([]int32(nil), starts[:maxL+1]...)
-		for _, v := range order {
-			k := lv.Level[v]
-			lv.Wave[fill[k]] = int32(v)
-			fill[k]++
-		}
-	}
-
-	// Fan-in gather plan, sorted by source topological position. Fan-ins
-	// are gate-arity tiny and appended in a single global edge sequence, so
-	// they arrive almost sorted; insertion sort is both cheap and stable.
-	lv.gatherOff = make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
-		lv.gatherOff[v] = int32(total)
-		total += len(g.In[v])
-	}
-	lv.gatherOff[n] = int32(total)
-	lv.gather = make([]int32, total)
-	for v := 0; v < n; v++ {
-		buf := lv.gather[lv.gatherOff[v]:lv.gatherOff[v+1]]
-		copy(buf, g.In[v])
-		for i := 1; i < len(buf); i++ {
-			ei := buf[i]
-			p := lv.TopoPos[g.Edges[ei].From]
-			j := i - 1
-			for j >= 0 && lv.TopoPos[g.Edges[buf[j]].From] > p {
-				buf[j+1] = buf[j]
-				j--
-			}
-			buf[j+1] = ei
+		if int(l) > lv.MaxLevel {
+			lv.MaxLevel = int(l)
 		}
 	}
 	return lv

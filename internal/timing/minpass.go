@@ -7,13 +7,9 @@ import (
 )
 
 // This file is the earliest-arrival (shortest-path) dual of the forward
-// propagation in propagate.go: the same kernels, wavefront scheduling and
-// gather ordering, with canon.MinViews folding contributions instead of
-// MaxViews. Hold analysis needs the earliest statistical arrival at every
-// register D pin; everything about bit-reproducibility (level-monotone
-// visit order, fan-in gathers sorted by source topological position) carries
-// over unchanged, so the parallel min pass matches the serial one bit for
-// bit at any worker count.
+// propagation in propagate.go: the same forward kernel and visit order, with
+// canon.MinViews folding contributions instead of MaxViews. Hold analysis
+// needs the earliest statistical arrival at every register D pin.
 
 // ArrivalsMin runs a forward earliest-arrival propagation from the given
 // source vertices (all launching at time zero) into the pass arena: after

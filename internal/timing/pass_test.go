@@ -373,3 +373,40 @@ func TestMaxDelayCtxCancelled(t *testing.T) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPassPoolMixedSizes pins the size-classed pool contract: recycling a
+// small buffer must never starve (or poison) a later, larger request, and a
+// steady-state workload alternating between two graph sizes performs no
+// slab allocations.
+func TestPassPoolMixedSizes(t *testing.T) {
+	// A small recycled slab must not be handed back for a bigger request.
+	putSlab(make([]float64, 64))
+	if s := takeSlab(1 << 12); cap(s) < 1<<12 {
+		t.Fatalf("takeSlab(%d) returned cap %d", 1<<12, cap(s))
+	}
+	putMask(make([]bool, 64))
+	if m := takeMask(4000); cap(m) < 4000 || len(m) != 4000 {
+		t.Fatalf("takeMask(4000) returned len %d cap %d", len(m), cap(m))
+	}
+	// Steady state across mixed graph sizes: the per-class pools serve both
+	// request sizes without fresh slab allocations. The fence bounds the
+	// small per-acquire bookkeeping (Pass/Bank headers, pool boxing); a
+	// dropped-buffer regression re-allocates vertex-count-sized slabs every
+	// iteration and blows well past it.
+	small := fuzzBaseGraph(t)
+	big := buildBench(t, "c880", 7)
+	run := func() {
+		for _, g := range []*Graph{small, big} {
+			p := g.AcquirePass()
+			if err := p.Arrivals(g.Inputs...); err != nil {
+				t.Fatal(err)
+			}
+			p.Release()
+		}
+	}
+	run() // warm the pools and the cached orders
+	allocs := testing.AllocsPerRun(20, run)
+	if allocs > 12 {
+		t.Fatalf("mixed-size pass loop allocates %.1f objects per iteration", allocs)
+	}
+}

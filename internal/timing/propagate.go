@@ -17,6 +17,13 @@ import (
 // allocations — the paper's all-pairs extraction scheme (eq. 12) runs one
 // such pass per input, and pooled passes make that loop allocation-free.
 //
+// Both kernels are serial: a forward pass pushes each vertex's arrival
+// along its fan-out in the graph's topological order (Graph.Order), and a
+// backward pass gathers each vertex's fan-out in reverse order, so the
+// operation order at every vertex — and with it every result bit — is a
+// function of the graph alone. Parallelism lives one level up, in
+// independent passes (AllPairsDelays, the criticality engine, batches).
+//
 // Acquire with Graph.AcquirePass, give it back with Release. A Pass is
 // bound to the graph that created it and is not safe for concurrent use;
 // concurrent workers each acquire their own. Backing slabs are recycled
@@ -32,9 +39,6 @@ type Pass struct {
 	// vertices during Arrivals/Required so a long pass observes
 	// cancellation between vertices instead of running to completion.
 	ctx context.Context
-	// workers > 1 selects the intra-level parallel wavefront kernels; see
-	// WithWorkers. Zero (the AcquirePass default) runs serially.
-	workers int
 	// rs, when set via WithRescale, rescales every edge delay at gather
 	// time.
 	rs *Rescale
@@ -50,18 +54,6 @@ const ctxCheckStride = 256
 // A nil ctx (the AcquirePass default) disables polling entirely.
 func (p *Pass) WithContext(ctx context.Context) *Pass {
 	p.ctx = ctx
-	return p
-}
-
-// WithWorkers selects intra-level parallel propagation: each level of the
-// graph's wavefront structure (Graph.Levels) is fanned out over a bounded
-// ParallelForCtx pool, with per-worker scratch and a fan-in gather order
-// that reproduces the serial pass bit for bit (see Levels.FaninSorted).
-// n <= 0 selects GOMAXPROCS; n == 1 restores the serial kernel. Wide,
-// shallow graphs benefit; on narrow levels the pass drops back to the
-// serial kernel per level, so results never depend on the worker count.
-func (p *Pass) WithWorkers(n int) *Pass {
-	p.workers = Workers(n, 1<<30)
 	return p
 }
 
@@ -252,14 +244,14 @@ func (d *edgeDelays) add(dst, a canon.View, ei int32) {
 
 // delays resolves where the pass reads edge delays from. A non-nil bank
 // (the *Over entry points) replaces the graph's own delays. Otherwise a
-// graph's first serial, unscaled pass reads the pointer forms directly —
-// building the flat bank costs one extra sweep over every edge and only
-// pays off when passes repeat (the all-pairs scheme, criticality, repeated
-// queries) — and every other pass reads the cached flat bank.
+// graph's first unscaled pass reads the pointer forms directly — building
+// the flat bank costs one extra sweep over every edge and only pays off
+// when passes repeat (the all-pairs scheme, criticality, repeated queries)
+// — and every other pass reads the cached flat bank.
 func (p *Pass) delays(bank *canon.Bank) (edgeDelays, error) {
 	g := p.g
 	d := edgeDelays{edges: g.Edges, bank: bank, rs: p.rs, nGlob: g.Space.Globals}
-	if bank == nil && (g.passes.Add(1) > 1 || g.hasDelayBank() || p.workers > 1 || p.rs != nil) {
+	if bank == nil && (g.passes.Add(1) > 1 || g.hasDelayBank() || p.rs != nil) {
 		d.bank = g.EdgeDelays()
 	}
 	if d.bank != nil && d.bank.Cap() < len(g.Edges) {
@@ -296,16 +288,13 @@ func (p *Pass) ArrivalsOver(delays *canon.Bank, sources ...int) error {
 	return p.forward(delays, canon.MaxViews, sources)
 }
 
-// forward runs the serial or parallel forward kernel over the resolved
-// delay source, folding contributions with fold: the Clark max for latest
-// arrivals, the Clark min for earliest ones.
+// forward runs the forward kernel over the resolved delay source, folding
+// contributions with fold: the Clark max for latest arrivals, the Clark min
+// for earliest ones.
 func (p *Pass) forward(bank *canon.Bank, fold func(dst, a, b canon.View), sources []int) error {
 	d, err := p.delays(bank)
 	if err != nil {
 		return err
-	}
-	if p.workers > 1 {
-		return forwardPassParallel(p.g, p.bank, p.reach, d, fold, p.ctx, sources, p.workers)
 	}
 	return forwardPass(p.g, p.bank, p.reach, d, fold, p.ctx, sources)
 }
@@ -327,19 +316,17 @@ func seedSources(g *Graph, bank *canon.Bank, reach []bool, seeds []int, kind str
 	return nil
 }
 
-// forwardPass is the serial forward propagation kernel shared by pooled
-// passes and the persistent incremental state: arrivals are written into
-// bank (slot g.NumVerts is scratch) with the per-vertex reach mask, each
-// vertex folding its contributions with fold (canon.MaxViews for latest
-// arrivals, canon.MinViews for the earliest arrivals hold analysis needs).
+// forwardPass is the forward propagation kernel shared by pooled passes
+// and the persistent incremental state: arrivals are written into bank
+// (slot g.NumVerts is scratch) with the per-vertex reach mask, each vertex
+// folding its contributions with fold (canon.MaxViews for latest arrivals,
+// canon.MinViews for the earliest arrivals hold analysis needs).
 //
-// Vertices are visited in level-batched wavefronts when the cached
-// topological order is level-monotone — the same visit sequence as the
-// plain order loop, with the per-level bounds hoisted out of the hot loop —
-// and in plain topological order otherwise, so the contribution order at
-// every vertex is the same either way.
+// Vertices push along their fan-out in topological order, so every vertex
+// receives its fan-in contributions in the topological order of their
+// sources — the operation order Incremental.recomputeArrival replays.
 func forwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold func(dst, a, b canon.View), ctx context.Context, sources []int) error {
-	lv, err := g.Levels()
+	order, err := g.Order()
 	if err != nil {
 		return err
 	}
@@ -348,9 +335,12 @@ func forwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold fu
 	}
 	scratch := bank.View(g.NumVerts)
 	edges, out := g.Edges, g.Out
-	push := func(v int) {
+	for step, v := range order {
+		if err := stepCtx(ctx, step); err != nil {
+			return err
+		}
 		if !reach[v] {
-			return
+			continue
 		}
 		av := bank.View(v)
 		for _, ei := range out[v] {
@@ -363,114 +353,6 @@ func forwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold fu
 			} else {
 				fold(tv, tv, scratch)
 			}
-		}
-	}
-	if lv.Monotone {
-		step := 0
-		for k := 0; k <= lv.MaxLevel; k++ {
-			wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-			for _, vi := range wave {
-				if err := stepCtx(ctx, step); err != nil {
-					return err
-				}
-				step++
-				push(int(vi))
-			}
-		}
-		return nil
-	}
-	order, err := g.Order()
-	if err != nil {
-		return err
-	}
-	for step, v := range order {
-		if err := stepCtx(ctx, step); err != nil {
-			return err
-		}
-		push(v)
-	}
-	return nil
-}
-
-// parallelLevelMin is the minimum wavefront width (per worker) worth
-// fanning out: below it the per-level pool coordination costs more than
-// the gather work and the level runs on the serial kernel instead. The
-// choice never affects results — gather order is fixed per vertex.
-const parallelLevelMin = 4
-
-// forwardPassParallel is the intra-level parallel forward kernel: levels
-// run in sequence, vertices within a level gather their fan-in
-// concurrently. Gathering folds each vertex's fan-in sorted by source
-// topological position — exactly the order in which the serial push kernel
-// delivers contributions (In[v] cannot see them in any other relative
-// order: addEdge appends to every adjacency list in one global sequence) —
-// so the result is bit-identical to forwardPass regardless of worker count
-// or intra-level scheduling.
-func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, fold func(dst, a, b canon.View), ctx context.Context, sources []int, workers int) error {
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
-		return err
-	}
-	gather := func(v int, tmp canon.View) {
-		av := bank.View(v)
-		// At gather time reach[v] is true only for pre-seeded sources, whose
-		// slot already holds the zero-time constant; contributions fold on
-		// top of it, exactly as the push kernel would.
-		reached := reach[v]
-		for _, ei := range lv.FaninSorted(v) {
-			e := &g.Edges[ei]
-			if !reach[e.From] {
-				continue
-			}
-			d.add(tmp, bank.View(e.From), ei)
-			if !reached {
-				canon.CopyView(av, tmp)
-				reached = true
-			} else {
-				fold(av, av, tmp)
-			}
-		}
-		reach[v] = reached
-	}
-	return levelsParallel(g, lv, 1, lv.MaxLevel+1, 1, ctx, workers, gather)
-}
-
-// levelsParallel runs gather over every vertex of the levels from, from+step,
-// ... up to (excluding) to, fanning each wide level out over workers with
-// per-worker scratch views; narrow levels run serially.
-func levelsParallel(g *Graph, lv *Levels, from, to, step int, ctx context.Context, workers int, gather func(v int, tmp canon.View)) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
-	}
-	slab := takeSlab(workers * g.Space.Stride())
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-	for k := from; k != to; k += step {
-		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-		n := len(wave)
-		chunks := workers
-		if n < chunks*parallelLevelMin {
-			if err := stepCtx(ctx, 0); err != nil {
-				return err
-			}
-			tmp := tmps.View(0)
-			for _, vi := range wave {
-				gather(int(vi), tmp)
-			}
-			continue
-		}
-		err := ParallelForCtx(ctx, chunks, chunks, func(_ context.Context, c int) error {
-			tmp := tmps.View(c)
-			for _, vi := range wave[n*c/chunks : n*(c+1)/chunks] {
-				gather(int(vi), tmp)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	return nil
@@ -497,19 +379,14 @@ func (p *Pass) backward(bank *canon.Bank, outputs []int) error {
 	if err != nil {
 		return err
 	}
-	if p.workers > 1 {
-		return backwardPassParallel(p.g, p.bank, p.reach, d, p.ctx, outputs, p.workers)
-	}
 	return backwardPass(p.g, p.bank, p.reach, d, p.ctx, outputs)
 }
 
-// backwardPass is the serial backward propagation kernel shared by pooled
-// passes and the persistent incremental state (see forwardPass). The
-// backward kernel is already a per-vertex gather over Out[v], so the
-// wavefront batching changes only the visit grouping, never the
-// contribution order.
+// backwardPass is the backward propagation kernel shared by pooled passes
+// and the persistent incremental state (see forwardPass): vertices gather
+// their fan-out in reverse topological order.
 func backwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, ctx context.Context, outputs []int) error {
-	lv, err := g.Levels()
+	order, err := g.Order()
 	if err != nil {
 		return err
 	}
@@ -517,80 +394,37 @@ func backwardPass(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, ctx co
 		return err
 	}
 	scratch := bank.View(g.NumVerts)
-	gatherOut := func(v int) {
-		vv := bank.View(v)
-		for _, ei := range g.Out[v] {
-			to := g.Edges[ei].To
-			if !reach[to] {
-				continue
-			}
-			d.add(scratch, bank.View(to), ei)
-			if !reach[v] {
-				canon.CopyView(vv, scratch)
-				reach[v] = true
-			} else {
-				canon.MaxViews(vv, vv, scratch)
-			}
-		}
-	}
-	if lv.Monotone {
-		step := 0
-		for k := lv.MaxLevel; k >= 0; k-- {
-			wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-			for i := len(wave) - 1; i >= 0; i-- {
-				if err := stepCtx(ctx, step); err != nil {
-					return err
-				}
-				step++
-				gatherOut(int(wave[i]))
-			}
-		}
-		return nil
-	}
-	order, err := g.Order()
-	if err != nil {
-		return err
-	}
 	for i := len(order) - 1; i >= 0; i-- {
 		if err := stepCtx(ctx, len(order)-1-i); err != nil {
 			return err
 		}
-		gatherOut(order[i])
+		v := order[i]
+		reach[v] = gatherFanout(g, bank, reach, &d, v, bank.View(v), scratch, reach[v])
 	}
 	return nil
 }
 
-// backwardPassParallel fans each level's backward gathers out over a
-// bounded pool. The backward kernel gathers over Out[v] in adjacency order
-// for both the serial and parallel path, so intra-level scheduling cannot
-// change any result bit.
-func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, d edgeDelays, ctx context.Context, outputs []int, workers int) error {
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, outputs, "output"); err != nil {
-		return err
-	}
-	gather := func(v int, tmp canon.View) {
-		vv := bank.View(v)
-		reached := reach[v] // pre-seeded outputs hold the zero constant
-		for _, ei := range g.Out[v] {
-			to := g.Edges[ei].To
-			if !reach[to] {
-				continue
-			}
-			d.add(tmp, bank.View(to), ei)
-			if !reached {
-				canon.CopyView(vv, tmp)
-				reached = true
-			} else {
-				canon.MaxViews(vv, vv, tmp)
-			}
+// gatherFanout folds v's required-time contributions — each reached
+// fan-out target's form in bank plus the edge delay — into dst with the
+// Clark max, in Out[v] adjacency order, using tmp as scratch. reached says
+// whether dst already holds a form (a seeded output); the result says
+// whether it holds one afterwards. The full backward pass and the
+// incremental fan-in sweep share it, so both fold in the same order.
+func gatherFanout(g *Graph, bank *canon.Bank, reach []bool, d *edgeDelays, v int, dst, tmp canon.View, reached bool) bool {
+	for _, ei := range g.Out[v] {
+		to := g.Edges[ei].To
+		if !reach[to] {
+			continue
 		}
-		reach[v] = reached
+		d.add(tmp, bank.View(to), ei)
+		if !reached {
+			canon.CopyView(dst, tmp)
+			reached = true
+		} else {
+			canon.MaxViews(dst, dst, tmp)
+		}
 	}
-	return levelsParallel(g, lv, lv.MaxLevel-1, -1, -1, ctx, workers, gather)
+	return reached
 }
 
 // ArrivalAll propagates arrival times from all inputs simultaneously (every
